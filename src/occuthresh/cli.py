@@ -19,7 +19,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .errors import CertificateError, OccuthreshError
+from .errors import CertificateError, OccuthreshError, ParameterError
 from .instances import Params, deserialize, sample_configuration, sample_simple, serialize
 from .moments import (
     first_moment_asymptotic,
@@ -74,6 +74,13 @@ def _emit(out: str | None, manifest: RunManifest, data_lines: list[str]):
         Path(out).write_text(text)
     else:
         sys.stdout.write(text)
+
+
+def _read_input(path: str) -> str:
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParameterError(f"cannot read {path}: {exc}") from None
 
 
 def _int_list(text: str) -> list[int]:
@@ -240,7 +247,7 @@ def _run_moments(args, manifest: RunManifest) -> list[str]:
 
 
 def _run_sdpi(args, manifest: RunManifest) -> list[str]:
-    p_star, channel = parse_channel(Path(args.channel).read_text())
+    p_star, channel = parse_channel(_read_input(args.channel))
     value, argmax = contraction_coefficient(
         p_star, channel, grid_depth=args.grid_depth, refine_tol=args.refine_tol
     )
@@ -277,7 +284,7 @@ def _run_sample(args, manifest: RunManifest) -> list[str]:
 
 
 def _run_count(args, manifest: RunManifest) -> list[str]:
-    cfg = deserialize(Path(args.infile).read_text())
+    cfg = deserialize(_read_input(args.infile))
     z = count_solutions(cfg, cap=args.cap)
     return [f"solutions = {z}"]
 

@@ -2,7 +2,9 @@
 
 Every error raised on purpose by this package derives from
 :class:`OccuthreshError`, so callers (and the CLI) can distinguish
-parameter/usage problems from verification failures.
+parameter/usage problems from verification failures.  Errors with extra
+constructor arguments define ``__reduce__`` so they survive the pickling
+that carries them out of a worker process.
 """
 
 
@@ -25,6 +27,9 @@ class EvaluationError(OccuthreshError, RuntimeError):
         super().__init__(message)
         self.point = point
 
+    def __reduce__(self):
+        return type(self), (self.args[0], self.point)
+
 
 class BracketError(OccuthreshError, ValueError):
     """Root finding was called without a sign change on the bracket."""
@@ -41,6 +46,9 @@ class RetryLimitError(OccuthreshError, RuntimeError):
         super().__init__(message)
         self.attempts = attempts
 
+    def __reduce__(self):
+        return type(self), (self.args[0], self.attempts)
+
 
 class ParseError(OccuthreshError, ValueError):
     """A serialized document is malformed.
@@ -50,7 +58,11 @@ class ParseError(OccuthreshError, ValueError):
 
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")
+        self.message = message
         self.line = line
+
+    def __reduce__(self):
+        return type(self), (self.message, self.line)
 
 
 class CertificateError(OccuthreshError, RuntimeError):
@@ -64,3 +76,7 @@ class CertificateError(OccuthreshError, RuntimeError):
         super().__init__(f"check {check!r} failed at {witness!r}: {message}")
         self.check = check
         self.witness = witness
+        self.message = message
+
+    def __reduce__(self):
+        return type(self), (self.check, self.witness, self.message)

@@ -2,16 +2,19 @@
 
 An assignment solves a configuration when every constraint sees exactly
 ``r`` of its k f-edges wired to value-one variables, counting
-multiplicity.  Exact counting enumerates the C(n, n1) assignments with
-the forced number of ones along a revolving-door Gray code, so each step
-moves one variable in and one out; per-constraint tallies live in
-bit-packed fields of a single integer, making the per-step update one
-add, one subtract, and one compare.
+multiplicity.  Deciding and counting share one exact search, exact cover
+with multiplicities (Knuth, TAOCP 4B 7.2.2.1): each constraint keeps
+``(ones, free)`` f-edge tallies, is in conflict when ``ones > r`` or
+``ones + free < r``, forces its free variables to 0 when ``ones == r``
+and to 1 when ``ones + free == r``, and otherwise branches on a free
+variable of the constraint with the fewest free f-edges.  Assignments
+are undone through a trail and the search keeps an explicit stack.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,82 +49,74 @@ def is_solution(cfg: Configuration, x) -> bool:
     return bool(np.all(tallies == p.r))
 
 
-def _packed_tallies(cfg: Configuration):
-    # One bit field of `bits` per constraint inside a single big int;
-    # fields never overflow because a tally is at most k.
+def _search(cfg: Configuration, early_exit: bool) -> int:
     p = cfg.params
-    bits = max(3, (p.k + 1).bit_length())
-    con_of_slot = (cfg.wiring // p.k).tolist()
-    masks = [0] * p.n
-    for slot, con in enumerate(con_of_slot):
-        masks[slot // p.d] += 1 << (bits * con)
-    target = sum(p.r << (bits * c) for c in range(p.m))
-    return masks, target
-
-
-def revolving_door(n: int, t: int):
-    """Yield (removed, added) steps visiting every t-subset of range(n).
-
-    Successive subsets differ by a single element exchange (the
-    revolving-door Gray code, Knuth TAOCP 7.2.1.3 Algorithm R).  The
-    initial subset is {0, ..., t-1}; nothing is yielded for t in {0, n}.
-    """
-    if not 0 <= t <= n:
-        raise ParameterError(f"need 0 <= t <= n, got t={t}, n={n}")
-    remaining = math.comb(n, t) - 1
-    if t == 0 or t == n:
-        return
-    c = list(range(t)) + [n, 0]
-    odd = t % 2 == 1
-    while remaining > 0:
-        remaining -= 1
-        if odd:
-            if c[0] + 1 < c[1]:
-                yield c[0], c[0] + 1
-                c[0] += 1
-                continue
-            j, decrease = 1, True
-        else:
-            if c[0] > 0:
-                yield c[0], c[0] - 1
-                c[0] -= 1
-                continue
-            j, decrease = 1, False
-        while True:
-            if decrease:
-                if c[j] >= j + 1:
-                    out = c[j]
-                    c[j] = c[j - 1]
-                    c[j - 1] = j - 1
-                    yield out, j - 1
-                    break
-            else:
-                if c[j] + 1 < c[j + 1]:
-                    out = c[j - 1]
-                    c[j - 1] = c[j]
-                    c[j] += 1
-                    yield out, c[j]
-                    break
-            j += 1
-            decrease = not decrease
-
-
-def _sweep(cfg: Configuration, early_exit: bool) -> int:
-    p = cfg.params
-    quota = ones_quota(p)
-    if quota is None:
+    if ones_quota(p) is None:
         return 0
-    masks, target = _packed_tallies(cfg)
-    cur = sum(masks[:quota])
-    count = 1 if cur == target else 0
-    if early_exit and count:
-        return 1
-    for out, added in revolving_door(p.n, quota):
-        cur += masks[added] - masks[out]
-        if cur == target:
-            if early_exit:
-                return 1
+    r = p.r
+    con_of_slot = (cfg.wiring // p.k).tolist()
+    # (constraint, multiplicity) pairs per variable; distinct variables per constraint.
+    edges = [list(Counter(con_of_slot[v * p.d:(v + 1) * p.d]).items()) for v in range(p.n)]
+    members = [sorted(set(row)) for row in cfg.constraint_members().tolist()]
+    ones = [0] * p.m
+    free = [p.k] * p.m
+    value = [-1] * p.n
+    trail = []
+
+    def propagate(v: int, b: int) -> bool:
+        # Assign v = b and every value it forces; False on a conflict.  A
+        # variable forced twice is skipped the second time: if the values
+        # differ, the first assignment already overfilled or starved the
+        # constraint that queued the second.
+        pending = [(v, b)]
+        while pending:
+            v, b = pending.pop()
+            if value[v] >= 0:
+                continue
+            value[v] = b
+            trail.append(v)
+            ok = True
+            for a, c in edges[v]:
+                f = free[a] - c
+                o = ones[a] + b * c
+                free[a], ones[a] = f, o
+                if o > r or o + f < r:
+                    ok = False
+                elif f and (o == r or o + f == r):
+                    forced = int(o < r)
+                    pending.extend((u, forced) for u in members[a] if value[u] < 0)
+            if not ok:
+                return False
+        return True
+
+    def undo(mark: int):
+        while len(trail) > mark:
+            v = trail.pop()
+            b = value[v]
+            for a, c in edges[v]:
+                free[a] += c
+                ones[a] -= b * c
+            value[v] = -1
+
+    count = 0
+    stack = []  # (trail mark, variable) of decisions whose value-one branch is pending
+    ok = True
+    while True:
+        if ok:
+            unfilled = [(f, a) for a, f in enumerate(free) if f]
+            if unfilled:
+                v = next(u for u in members[min(unfilled)[1]] if value[u] < 0)
+                stack.append((len(trail), v))
+                ok = propagate(v, 0)
+                continue
             count += 1
+            if early_exit:
+                break
+        if not stack:
+            break
+        mark, v = stack.pop()
+        undo(mark)
+        ok = propagate(v, 1)
     return count
 
 
@@ -136,13 +131,13 @@ def _check_cap(n: int, cap: int):
 def count_solutions(cfg: Configuration, cap: int = ENUMERATION_CAP) -> int:
     """Exact solution count; 0 immediately when the ones quota is fractional."""
     _check_cap(cfg.params.n, cap)
-    return _sweep(cfg, early_exit=False)
+    return _search(cfg, early_exit=False)
 
 
 def has_solution(cfg: Configuration, cap: int = ENUMERATION_CAP) -> bool:
     """Early-exit satisfiability decision; agrees with count_solutions > 0."""
     _check_cap(cfg.params.n, cap)
-    return _sweep(cfg, early_exit=True) > 0
+    return _search(cfg, early_exit=True) > 0
 
 
 @dataclass(frozen=True)

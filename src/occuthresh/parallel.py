@@ -10,16 +10,21 @@ from __future__ import annotations
 import multiprocessing
 import os
 
+from .errors import ParameterError
+
 
 def thread_count(requested: int | None = None) -> int:
     """Resolve a worker count: explicit argument, OCCUTHRESH_THREADS, or CPU count."""
     if requested is not None:
         if requested < 1:
-            raise ValueError(f"thread count must be >= 1, got {requested}")
+            raise ParameterError(f"thread count must be >= 1, got {requested}")
         return requested
     env = os.environ.get("OCCUTHRESH_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ParameterError(f"OCCUTHRESH_THREADS must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
 
 

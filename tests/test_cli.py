@@ -185,3 +185,21 @@ class TestThreadsEnv:
         assert run(["satprob", "--k", "4", "--d", "2", "--n", "8", "--trials", "5",
                     "--seed", "2", "--threads", "1", "--out", str(out)]) == 0
         assert "# manifest: threads = 1" in out.read_text()
+
+
+class TestErrorContract:
+    SATPROB = ["satprob", "--k", "4", "--d", "3", "--n", "8", "--trials", "3", "--seed", "1"]
+
+    def test_zero_threads_exits_2(self, capsys):
+        assert run(self.SATPROB + ["--threads", "0"]) == 2
+        assert "thread count must be >= 1" in capsys.readouterr().err
+
+    def test_non_integer_threads_env_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setenv("OCCUTHRESH_THREADS", "abc")
+        assert run(self.SATPROB) == 2
+        assert "OCCUTHRESH_THREADS" in capsys.readouterr().err
+
+    def test_count_missing_file_exits_2(self, tmp_path, capsys):
+        missing = tmp_path / "missing.cfg"
+        assert run(["count", "--in", str(missing)]) == 2
+        assert "cannot read" in capsys.readouterr().err

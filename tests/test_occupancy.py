@@ -34,6 +34,34 @@ SMALL_FAMILIES = [
     (12, 2, 6, 3),
 ]
 
+# r = 1 and r = 3 families up to n = 16, beside the r = 2 bulk above.
+OTHER_R_FAMILIES = [
+    (8, 3, 4, 1),
+    (12, 3, 4, 3),
+    (16, 2, 4, 1),
+    (16, 2, 4, 3),
+]
+
+# d = k: every variable meets k constraints, so sampled wirings often
+# put two or more of a variable's v-edges into one constraint.
+D_EQUALS_K_FAMILIES = [
+    (6, 3, 3, 1),
+    (6, 3, 3, 2),
+    (8, 4, 4, 2),
+    (10, 5, 5, 2),
+]
+
+
+def max_multiplicity(cfg: Configuration) -> int:
+    """Largest number of f-edges one variable holds in one constraint."""
+    return max(np.bincount(row).max() for row in cfg.constraint_members())
+
+
+def assert_matches_oracle(cfg: Configuration):
+    z = count_solutions_bruteforce(cfg)
+    assert count_solutions(cfg) == z
+    assert has_solution(cfg) == (z > 0)
+
 
 class TestOnesQuota:
     def test_forced_count(self):
@@ -82,10 +110,26 @@ class TestCountSolutions:
 
     def test_matches_unrestricted_enumeration(self):
         """Exact count equals the 2^n sweep on small random instances."""
-        for i, (n, d, k, r) in enumerate(SMALL_FAMILIES):
+        for i, (n, d, k, r) in enumerate(SMALL_FAMILIES + OTHER_R_FAMILIES):
             for t in range(4):
                 cfg = sample_configuration(Params(n=n, d=d, k=k, r=r), child_seed(31 + i, t))
-                assert count_solutions(cfg) == count_solutions_bruteforce(cfg)
+                assert_matches_oracle(cfg)
+
+    def test_identity_wiring_matches_oracle(self):
+        """Identity wirings pack each variable's v-edges into as few constraints as possible."""
+        for n, d, k, r in SMALL_FAMILIES + OTHER_R_FAMILIES[:2] + D_EQUALS_K_FAMILIES:
+            cfg = Configuration(Params(n=n, d=d, k=k, r=r), np.arange(n * d))
+            assert max_multiplicity(cfg) >= 2
+            assert_matches_oracle(cfg)
+
+    def test_repeated_memberships_match_oracle(self):
+        repeated = 0
+        for i, (n, d, k, r) in enumerate(D_EQUALS_K_FAMILIES):
+            for t in range(12):
+                cfg = sample_configuration(Params(n=n, d=d, k=k, r=r), child_seed(73 + i, t))
+                repeated += max_multiplicity(cfg) >= 2
+                assert_matches_oracle(cfg)
+        assert repeated >= 12
 
     def test_ensemble_mean(self, exhaustive):
         assert exhaustive["mean_z"] == Fraction(108, 35)
@@ -125,6 +169,15 @@ class TestEarlyExit:
             assert has_solution(cfg) == positive
             hits += positive
         assert 0 < hits < 1000  # both outcomes exercised
+
+    def test_agrees_with_count_at_n24(self):
+        hits = 0
+        for t in range(60):
+            cfg = sample_configuration(Params(n=24, d=3, k=4, r=2), child_seed(29, t))
+            positive = count_solutions(cfg) > 0
+            assert has_solution(cfg) == positive
+            hits += positive
+        assert 0 < hits < 60
 
 
 class TestOverlap:
