@@ -71,7 +71,10 @@ def _now() -> str:
 def _emit(out: str | None, manifest: RunManifest, data_lines: list[str]):
     text = "\n".join(manifest.comment_lines() + data_lines) + "\n"
     if out:
-        Path(out).write_text(text)
+        try:
+            Path(out).write_text(text)
+        except OSError as exc:
+            raise ParameterError(f"cannot write {out}: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -318,14 +321,14 @@ def main(argv=None) -> int:
     )
     try:
         data_lines = _RUNNERS[args.subcommand](args, manifest)
+        manifest.finished = _now()
+        _emit(getattr(args, "out", None), manifest, data_lines)
     except CertificateError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 3
     except OccuthreshError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    manifest.finished = _now()
-    _emit(getattr(args, "out", None), manifest, data_lines)
     return 0
 
 

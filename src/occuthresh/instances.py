@@ -250,6 +250,31 @@ def serialize(cfg: Configuration) -> str:
     )
 
 
+def read_fields(text: str, order: tuple[str, ...]):
+    """Yield ``(key, value, line)`` for each ``key = value`` line of a document.
+
+    Blank lines and lines starting with '#' are skipped.  The keys must
+    follow ``order``; a line without '=', a key out of order or a key
+    past the end of ``order`` raises :class:`ParseError` with its 1-based
+    line number.  Missing trailing keys are the caller's to report.
+    """
+    expect = iter(order)
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ParseError(f"expected 'key = value', got {line!r}", line=lineno)
+        key, _, value = line.partition("=")
+        key = key.strip()
+        wanted = next(expect, None)
+        if wanted is None:
+            raise ParseError(f"unexpected extra field {key!r}", line=lineno)
+        if key != wanted:
+            raise ParseError(f"expected field {wanted!r}, got {key!r}", line=lineno)
+        yield key, value.strip(), lineno
+
+
 def deserialize(text: str) -> Configuration:
     """Parse the canonical text form; '#' lines are ignored as comments.
 
@@ -258,42 +283,24 @@ def deserialize(text: str) -> Configuration:
     ``d*n != k*m`` raise :class:`ParameterError`.
     """
     fields = {}
-    lines = {}
-    expect = iter(_FIELD_ORDER)
-    last_line = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        last_line = lineno
-        if "=" not in line:
-            raise ParseError(f"expected 'key = value', got {line!r}", line=lineno)
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        try:
-            wanted = next(expect)
-        except StopIteration:
-            raise ParseError(f"unexpected extra field {key!r}", line=lineno) from None
-        if key != wanted:
-            raise ParseError(f"expected field {wanted!r}, got {key!r}", line=lineno)
+    line = 0
+    for key, value, line in read_fields(text, _FIELD_ORDER):
         if key == "wiring":
             if not (value.startswith("[") and value.endswith("]")):
-                raise ParseError("wiring must be a bracketed integer list", line=lineno)
+                raise ParseError("wiring must be a bracketed integer list", line=line)
             body = value[1:-1].strip()
             try:
                 fields[key] = [int(tok) for tok in body.split(",")] if body else []
             except ValueError:
-                raise ParseError("wiring entries must be integers", line=lineno) from None
+                raise ParseError("wiring entries must be integers", line=line) from None
         else:
             try:
                 fields[key] = int(value)
             except ValueError:
-                raise ParseError(f"field {key!r} must be an integer", line=lineno) from None
-        lines[key] = lineno
+                raise ParseError(f"field {key!r} must be an integer", line=line) from None
     missing = [f for f in _FIELD_ORDER if f not in fields]
     if missing:
-        raise ParseError(f"missing fields {missing}", line=last_line + 1)
+        raise ParseError(f"missing fields {missing}", line=line + 1)
     params = Params(n=fields["n"], d=fields["d"], k=fields["k"], r=fields["r"])
     if fields["m"] != params.m:
         raise ParameterError(f"stated m={fields['m']} but d*n/k={params.m}")
@@ -301,4 +308,5 @@ def deserialize(text: str) -> Configuration:
     try:
         return Configuration(params, wiring)
     except ParameterError as exc:
-        raise ParseError(str(exc), line=lines["wiring"]) from None
+        # wiring is the last field, so its line is the last one read
+        raise ParseError(str(exc), line=line) from None

@@ -18,11 +18,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import EvaluationError, ParameterError
 from .instances import Params
-from .numerics import LogReal, binary_entropy
+from .numerics import LogReal, binary_entropy, kl_divergence_rows, log_factorials
 from .occupancy import ones_quota
 
 _DOMAIN_TOL = 1e-9
@@ -114,33 +113,21 @@ def output_cell_pmf(w1: float, k: int) -> np.ndarray:
     )
 
 
-def _kl(p: np.ndarray, q: np.ndarray) -> float:
-    total = 0.0
-    for a, b in zip(p, q):
-        if a == 0.0:
-            total += b
-        elif b == 0.0:
-            return float("inf")
-        else:
-            d = a - b
-            total += a * math.log1p(d / b) - d
-    return total
-
-
 def input_kl(w: OverlapPoint, k: int) -> float:
     """KL(P_w || P*) in the parametrization carried by ``w``."""
     if w.parametrization == "count":
-        return _kl(input_count_pmf(w), input_pmf_star(k))
-    star = OverlapPoint(*w_star(k), "count").to_cells()
-    return _kl(input_cell_pmf(w), input_cell_pmf(star))
+        p, q = input_count_pmf(w), input_pmf_star(k)
+    else:
+        star = OverlapPoint(*w_star(k), "count").to_cells()
+        p, q = input_cell_pmf(w), input_cell_pmf(star)
+    return float(kl_divergence_rows(p.reshape(1, -1), q)[0])
 
 
 def output_kl(w: OverlapPoint, k: int) -> float:
     """KL(Q_w || Q*) in the parametrization carried by ``w``."""
     ws1 = 2.0 / k
-    if w.parametrization == "count":
-        return _kl(output_count_pmf(w.w1, k), output_count_pmf(ws1, k))
-    return _kl(output_cell_pmf(w.w1, k), output_cell_pmf(ws1, k))
+    pmf = output_count_pmf if w.parametrization == "count" else output_cell_pmf
+    return float(kl_divergence_rows(pmf(w.w1, k).reshape(1, -1), pmf(ws1, k))[0])
 
 
 def _require_k(k: int):
@@ -281,13 +268,13 @@ def second_moment_exact_ratio(params: Params) -> LogReal:
     n, d, k, m = params.n, params.d, params.k, params.m
     n1 = quota
     dn = d * n
-    lg = gammaln(np.arange(dn + 2, dtype=float))
+    lf = log_factorials(dn)
 
     def log_c(a: int, b) -> np.ndarray:
         b = np.asarray(b)
         valid = (b >= 0) & (b <= a)
         b_safe = np.where(valid, b, 0)
-        out = lg[a + 1] - lg[b_safe + 1] - lg[a - b_safe + 1]
+        out = lf[a] - lf[b_safe] - lf[a - b_safe]
         return np.where(valid, out, -np.inf)
 
     log_pstar = np.log(input_pmf_star(k))
@@ -309,10 +296,10 @@ def second_moment_exact_ratio(params: Params) -> LogReal:
             - log_pe_denom
         )
         log_pf = (
-            lg[m + 1]
-            - lg[t0 + 1]
-            - lg[t1 + 1]
-            - lg[t2 + 1]
+            lf[m]
+            - lf[t0]
+            - lf[t1]
+            - lf[t2]
             + t0 * log_pstar[0]
             + t1 * log_pstar[1]
             + t2 * log_pstar[2]

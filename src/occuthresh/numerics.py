@@ -1,7 +1,7 @@
 """Shared numeric primitives.
 
-Log-space combinatorics, divergences, and the two deterministic 1-d
-optimizers used throughout the package.  Everything here is pure and
+Log-space combinatorics, divergences, and the deterministic bisection
+root finder used throughout the package.  Everything here is pure and
 stateless; all factorial-scale quantities live on the natural-log scale
 because linear-scale values overflow immediately at the sizes we care
 about.
@@ -20,25 +20,13 @@ import numpy as np
 from .errors import BracketError, ContractViolation, EvaluationError, ParameterError
 
 _PMF_TOL = 1e-12
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
 class LogReal:
-    """A nonnegative real stored as its natural log.
-
-    ``value = -inf`` encodes zero.  Multiplication and division add and
-    subtract logs; addition uses log-sum-exp so it is stable for any
-    magnitude.
-    """
+    """A nonnegative real stored as its natural log; ``value = -inf`` encodes zero."""
 
     value: float
-
-    @classmethod
-    def from_linear(cls, x: float) -> "LogReal":
-        if x < 0:
-            raise ParameterError(f"LogReal encodes nonnegative reals, got {x}")
-        return cls(math.log(x)) if x > 0 else cls(float("-inf"))
 
     @classmethod
     def zero(cls) -> "LogReal":
@@ -52,23 +40,6 @@ class LogReal:
         """Linear-scale value; overflows to ``inf`` when not representable."""
         return math.exp(self.value) if self.value < 710.0 else float("inf")
 
-    def __mul__(self, other: "LogReal") -> "LogReal":
-        return LogReal(self.value + other.value)
-
-    def __truediv__(self, other: "LogReal") -> "LogReal":
-        if other.is_zero:
-            raise ParameterError("division by LogReal zero")
-        return LogReal(self.value - other.value)
-
-    def __add__(self, other: "LogReal") -> "LogReal":
-        return LogReal(float(np.logaddexp(self.value, other.value)))
-
-    def __lt__(self, other: "LogReal") -> bool:
-        return self.value < other.value
-
-    def __le__(self, other: "LogReal") -> bool:
-        return self.value <= other.value
-
 
 @dataclass(frozen=True)
 class Pmf:
@@ -81,6 +52,8 @@ class Pmf:
         object.__setattr__(self, "weights", w)
         if w.ndim != 1 or w.size == 0:
             raise ContractViolation("pmf weights must be a nonempty vector")
+        if not np.all(np.isfinite(w)):
+            raise ContractViolation("pmf weights must be finite")
         if np.any(w < 0):
             raise ContractViolation("pmf weights must be nonnegative")
         if abs(float(w.sum()) - 1.0) > _PMF_TOL:
@@ -101,6 +74,8 @@ class Channel:
         object.__setattr__(self, "matrix", m)
         if m.ndim != 2 or m.size == 0:
             raise ContractViolation("channel matrix must be 2-d")
+        if not np.all(np.isfinite(m)):
+            raise ContractViolation("channel entries must be finite")
         if np.any(m < 0):
             raise ContractViolation("channel entries must be nonnegative")
         colsums = m.sum(axis=0)
@@ -126,6 +101,11 @@ def log_factorial(n: int) -> LogReal:
     if n < 0 or n != int(n):
         raise ParameterError(f"factorial needs a nonnegative integer, got {n}")
     return LogReal(math.lgamma(n + 1))
+
+
+def log_factorials(n: int) -> np.ndarray:
+    """Table of ln(i!) for i = 0..n; entry i is ``lgamma(i + 1)``."""
+    return np.array([math.lgamma(i + 1) for i in range(n + 1)])
 
 
 def log_multinomial(n: int, parts) -> LogReal:
@@ -158,35 +138,24 @@ def binary_entropy(p: float) -> float:
     return out
 
 
-def _kl_term(p: float, q: float) -> float:
-    # p ln(p/q) - p + q, the nonnegative integrand of the KL divergence.
-    # Written via log1p of the exactly-cancelling difference so that sums
-    # of terms stay accurate even when p is very close to q.
-    if p == 0.0:
-        return q
-    if q == 0.0:
-        return float("inf")
-    d = p - q
-    return p * math.log1p(d / q) - d
-
-
 def kl_divergence(p: Pmf, p_star: Pmf) -> float:
     """KL(p || p_star) in nats; ``+inf`` if p puts mass outside p_star's support.
 
-    Computed as the sum of the elementwise terms ``p ln(p/q) - p + q``,
-    which equals the usual sum of ``p ln(p/q)`` for normalized inputs but
-    does not lose precision when the two pmfs nearly coincide.
+    The one-row case of :func:`kl_divergence_rows`.
     """
     if len(p) != len(p_star):
         raise ContractViolation(f"pmf lengths differ: {len(p)} vs {len(p_star)}")
-    return float(sum(_kl_term(a, b) for a, b in zip(p.weights, p_star.weights)))
+    return float(kl_divergence_rows(p.weights.reshape(1, -1), p_star.weights)[0])
 
 
 def kl_divergence_rows(ps: np.ndarray, p_star: np.ndarray) -> np.ndarray:
     """Row-wise KL(ps[i] || p_star) for a matrix of pmfs; vectorized.
 
-    Same term-level formula as :func:`kl_divergence`.  Rows with mass on
-    a zero of ``p_star`` come out ``+inf``.
+    Computed as the sum of the elementwise terms ``p ln(p/q) - p + q``,
+    which equals the usual sum of ``p ln(p/q)`` for normalized inputs but,
+    written via log1p of the exactly-cancelling difference, does not lose
+    precision when the two pmfs nearly coincide.  Rows with mass on a
+    zero of ``p_star`` come out ``+inf``.
     """
     ps = np.asarray(ps, dtype=float)
     q = np.asarray(p_star, dtype=float)
@@ -206,50 +175,6 @@ def _checked_eval(f, x: float) -> float:
     if not math.isfinite(fx):
         raise EvaluationError(f"objective returned non-finite value {fx!r}", point=x)
     return fx
-
-
-def maximize_1d(f, lo: float, hi: float, tol: float, grid_points: int = 10001):
-    """Deterministic 1-d maximization: dense grid scan plus golden-section polish.
-
-    Returns ``(argmax, max)``.  The grid winner is the leftmost point
-    attaining the grid maximum, so ties (e.g. a constant function) always
-    resolve to the same argument.  The golden-section result is kept only
-    if it strictly improves on the grid value.
-    """
-    if not lo < hi:
-        raise ParameterError(f"need lo < hi, got [{lo}, {hi}]")
-    if tol <= 0:
-        raise ParameterError(f"need tol > 0, got {tol}")
-    if grid_points < 10001:
-        grid_points = 10001
-    xs = np.linspace(lo, hi, grid_points)
-    best_i = 0
-    best_v = _checked_eval(f, float(xs[0]))
-    for i in range(1, grid_points):
-        v = _checked_eval(f, float(xs[i]))
-        if v > best_v:
-            best_v, best_i = v, i
-    a = float(xs[max(best_i - 1, 0)])
-    b = float(xs[min(best_i + 1, grid_points - 1)])
-
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc = _checked_eval(f, c)
-    fd = _checked_eval(f, d)
-    while (b - a) > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = _checked_eval(f, c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = _checked_eval(f, d)
-    x_ref = 0.5 * (a + b)
-    v_ref = _checked_eval(f, x_ref)
-    if v_ref > best_v:
-        return x_ref, v_ref
-    return float(xs[best_i]), best_v
 
 
 def find_root(f, lo: float, hi: float, tol: float) -> float:

@@ -22,9 +22,12 @@ def thread_count(requested: int | None = None) -> int:
     env = os.environ.get("OCCUTHRESH_THREADS")
     if env:
         try:
-            return max(1, int(env))
+            count = int(env)
         except ValueError:
             raise ParameterError(f"OCCUTHRESH_THREADS must be an integer, got {env!r}") from None
+        if count < 1:
+            raise ParameterError(f"OCCUTHRESH_THREADS must be >= 1, got {env!r}")
+        return count
     return os.cpu_count() or 1
 
 

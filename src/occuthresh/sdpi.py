@@ -23,6 +23,7 @@ from itertools import product as _iterproduct
 import numpy as np
 
 from .errors import CertificateError, ContractViolation, ParameterError, ParseError
+from .instances import read_fields
 from .moments import (
     OverlapPoint,
     input_kl,
@@ -32,7 +33,7 @@ from .moments import (
     output_count_pmf,
     w_star,
 )
-from .numerics import Channel, Pmf, binary_entropy, find_root, kl_divergence, kl_divergence_rows
+from .numerics import Channel, Pmf, binary_entropy, find_root, kl_divergence_rows
 
 _EXCLUSION_TV = 1e-9
 
@@ -411,6 +412,9 @@ def certify_k4_contraction(grid_points: int = 20001, root_tol: float = 1e-12) ->
 # ---------------------------------------------------------------------------
 
 
+_CHANNEL_FIELDS = ("n_in", "n_out", "matrix", "p_star")
+
+
 def format_channel(p_star: Pmf, channel: Channel) -> str:
     """Channel/pmf document: n_in, n_out, column-major matrix, reference pmf."""
     cols = channel.matrix.T.ravel()
@@ -427,24 +431,8 @@ def format_channel(p_star: Pmf, channel: Channel) -> str:
 def parse_channel(text: str) -> tuple[Pmf, Channel]:
     """Parse the channel/pmf document; '#' lines are comments."""
     fields = {}
-    order = iter(("n_in", "n_out", "matrix", "p_star"))
-    last = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        last = lineno
-        if "=" not in line:
-            raise ParseError(f"expected 'key = value', got {line!r}", line=lineno)
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        try:
-            wanted = next(order)
-        except StopIteration:
-            raise ParseError(f"unexpected extra field {key!r}", line=lineno) from None
-        if key != wanted:
-            raise ParseError(f"expected field {wanted!r}, got {key!r}", line=lineno)
+    line = 0
+    for key, value, line in read_fields(text, _CHANNEL_FIELDS):
         try:
             if key in ("n_in", "n_out"):
                 fields[key] = int(value)
@@ -454,15 +442,15 @@ def parse_channel(text: str) -> tuple[Pmf, Channel]:
                 body = value[1:-1].strip()
                 fields[key] = [float(tok) for tok in body.split(",")] if body else []
         except ValueError:
-            raise ParseError(f"could not parse value for {key!r}", line=lineno) from None
-    missing = [f for f in ("n_in", "n_out", "matrix", "p_star") if f not in fields]
+            raise ParseError(f"could not parse value for {key!r}", line=line) from None
+    missing = [f for f in _CHANNEL_FIELDS if f not in fields]
     if missing:
-        raise ParseError(f"missing fields {missing}", line=last + 1)
+        raise ParseError(f"missing fields {missing}", line=line + 1)
     n_in, n_out = fields["n_in"], fields["n_out"]
     if len(fields["matrix"]) != n_in * n_out:
-        raise ParseError(f"matrix needs {n_in * n_out} entries, got {len(fields['matrix'])}", line=last)
+        raise ParseError(f"matrix needs {n_in * n_out} entries, got {len(fields['matrix'])}", line=line)
     if len(fields["p_star"]) != n_in:
-        raise ParseError(f"p_star needs {n_in} entries, got {len(fields['p_star'])}", line=last)
+        raise ParseError(f"p_star needs {n_in} entries, got {len(fields['p_star'])}", line=line)
     matrix = np.array(fields["matrix"], dtype=float).reshape(n_in, n_out).T
     return Pmf(np.array(fields["p_star"])), Channel(matrix)
 

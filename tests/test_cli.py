@@ -1,5 +1,9 @@
 """Command-line interface: flags, exit codes, file formats, determinism."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -203,3 +207,24 @@ class TestErrorContract:
         missing = tmp_path / "missing.cfg"
         assert run(["count", "--in", str(missing)]) == 2
         assert "cannot read" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_non_positive_threads_env_exits_2(self, monkeypatch, capsys, value):
+        monkeypatch.setenv("OCCUTHRESH_THREADS", value)
+        assert run(self.SATPROB) == 2
+        assert "OCCUTHRESH_THREADS must be >= 1" in capsys.readouterr().err
+
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        assert run(["threshold", "--k", "4", "--out", str(tmp_path)]) == 2
+        assert "cannot write" in capsys.readouterr().err
+
+    def test_nan_channel_entry_exits_2(self, tmp_path, capsys):
+        channel = tmp_path / "channel.txt"
+        channel.write_text("n_in = 2\nn_out = 2\nmatrix = [nan, 0.1, 0.2, 0.8]\np_star = [0.5, 0.5]\n")
+        assert run(["sdpi", "--channel", str(channel)]) == 2
+        assert "channel entries must be finite" in capsys.readouterr().err
+
+    def test_import_leaves_scipy_out(self):
+        code = "import sys, occuthresh.cli; sys.exit('scipy' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
