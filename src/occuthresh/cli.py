@@ -226,9 +226,10 @@ def _run_cycles(args, manifest: RunManifest) -> list[str]:
 def _run_moments(args, manifest: RunManifest) -> list[str]:
     params = Params(n=args.n, d=args.d, k=args.k, r=2)
     ln_ez_asym = first_moment_asymptotic(args.k, args.d, args.n).value
-    ln_ratio_asym = float("nan")
-    if 1 < args.d < args.k:
+    try:
         ln_ratio_asym = math.log(second_moment_asymptotic(args.k, args.d))
+    except ParameterError:  # no finite limit outside 1 < d < d*(k)
+        ln_ratio_asym = float("nan")
     if args.exact:
         ln_ez = first_moment_exact(params).value
         ln_ratio = second_moment_exact_ratio(params).value

@@ -314,14 +314,20 @@ def second_moment_exact_ratio(params: Params) -> LogReal:
 
 
 def second_moment_asymptotic(k: int, d: float) -> float:
-    """Limit of E[Z^2]/E[Z]^2: sqrt((k-1)/(k-d)).
+    """Limit of E[Z^2]/E[Z]^2 below the threshold: sqrt((k-1)/(k-d)).
 
-    Cross-checked internally against the Laplace form
+    Only 1 < d < d*(k) has a finite limit: from d*(k) on, E[Z] -> 0 and
+    the ratio, at least 1/P(Z > 0), grows without bound, so those d
+    raise.  Cross-checked internally against the Laplace form
     f(w*) * sqrt((2 pi)^2 / det((k/sqrt(2d)) H)).
     """
     _require_k(k)
-    if not 1 < d < k:
-        raise ParameterError(f"need 1 < d < k, got d={d}, k={k}")
+    d_star = threshold_dstar(k).d_star
+    if not 1 < d < d_star:
+        raise ParameterError(
+            f"E[Z^2]/E[Z]^2 has a finite limit only for 1 < d < d*(k) = {d_star!r}, "
+            f"got d={d}, k={k}"
+        )
     closed = math.sqrt((k - 1.0) / (k - d))
     pstar = input_pmf_star(k)
     prefactor = math.sqrt(2.0 / ((2.0 * math.pi) ** 2 * float(np.prod(pstar))))

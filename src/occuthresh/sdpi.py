@@ -4,9 +4,11 @@ The generic coefficient sup KL(Wp || Wp*) / KL(p || p*) is estimated by
 a dense simplex grid followed by local simplex-move refinement; both
 stages are deterministic (grid points enumerate in lexicographic
 composition order, ties keep the first winner, refinement accepts only
-strict improvements).  The occupation family instantiates this for the
-3x3 channel whose inputs measure solution overlap; its conjectured
-supremum sits at the degenerate corner pmf.
+strict improvements).  The grid is streamed in numpy blocks of about
+2^15 points, so memory does not grow with the grid, and each refine
+step evaluates its simplex moves in one batch.  The occupation family
+instantiates this for the 3x3 channel whose inputs measure solution
+overlap; its conjectured supremum sits at the degenerate corner pmf.
 
 The k = 4 functions certify, at grid resolution, that the conjectured
 corner value really is the supremum.  All bound curves are closed
@@ -18,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product as _iterproduct
 
 import numpy as np
 
@@ -81,20 +82,49 @@ def divergence_ratio(w: OverlapPoint, k: int) -> float:
     return output_kl(w, k) / denom
 
 
-def _compositions(total: int, parts: int):
-    # lexicographic order; the first tuple is (0, ..., 0, total)
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+_BLOCK_ROWS = 1 << 15  # grid rows evaluated per block, to bound memory
 
 
-def _grid_pmfs(depth: int, parts: int) -> np.ndarray:
-    comps = np.array(list(_compositions(depth, parts)), dtype=float)
-    grid = comps / depth
-    return grid / grid.sum(axis=1, keepdims=True)
+def _extend(comps: np.ndarray, left: np.ndarray, cols: int):
+    # Follow each row by every choice of its next ``cols`` entries, in
+    # lexicographic order; ``left`` is what each row has still to place.
+    for _ in range(cols):
+        counts = left + 1
+        owner = np.repeat(np.arange(left.size), counts)
+        entry = np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        comps = np.column_stack([comps[owner], entry])
+        left = left[owner] - entry
+    return comps, left
+
+
+def _grid_blocks(depth: int, parts: int):
+    """Yield the depth-``depth`` simplex grid as blocks of normalised pmf rows.
+
+    The rows are the compositions of ``depth`` into ``parts`` entries in
+    lexicographic order (the first is (0, ..., 0, depth)).  A block holds
+    every composition under a run of leading entries, at least
+    ``_BLOCK_ROWS`` rows unless it is the last.  A 1-row last block joins
+    the one before it: a 1-row matmul takes another BLAS path, whose bits
+    can differ.
+    """
+    lead = next(
+        n for n in range(parts) if math.comb(depth + parts - 1 - n, parts - 1 - n) <= _BLOCK_ROWS
+    )
+    heads, left = _extend(np.zeros((1, 0), dtype=np.int64), np.array([depth]), lead)
+    cuts, rows = [0], 0
+    for end, rest in enumerate(left.tolist(), 1):
+        rows += math.comb(rest + parts - 1 - lead, parts - 1 - lead)
+        if rows >= _BLOCK_ROWS:
+            cuts.append(end)
+            rows = 0
+    if rows == 1 and len(cuts) > 1:
+        cuts[-1] = left.size
+    elif rows:
+        cuts.append(left.size)
+    for a, b in zip(cuts, cuts[1:]):
+        comps, rest = _extend(heads[a:b], left[a:b], parts - 1 - lead)
+        grid = np.column_stack([comps, rest]) / depth
+        yield grid / grid.sum(axis=1, keepdims=True)
 
 
 def _ratio_rows(ps: np.ndarray, matrix: np.ndarray, p_star: np.ndarray, q_star: np.ndarray):
@@ -103,35 +133,34 @@ def _ratio_rows(ps: np.ndarray, matrix: np.ndarray, p_star: np.ndarray, q_star: 
     tv = 0.5 * np.abs(ps - p_star).sum(axis=1)
     with np.errstate(invalid="ignore", divide="ignore"):
         ratios = numer / denom
-    ratios = np.where(np.isinf(denom), np.where(np.isinf(numer), -np.inf, 0.0), ratios)
     ratios = np.where(denom == 0.0, -np.inf, ratios)
     return np.where(tv <= _EXCLUSION_TV, -np.inf, ratios)
 
 
-def _ratio_point(p: np.ndarray, matrix: np.ndarray, p_star: np.ndarray, q_star: np.ndarray):
-    return float(_ratio_rows(p.reshape(1, -1), matrix, p_star, q_star)[0])
-
-
 def _refine_simplex(p, value, matrix, p_star, q_star, start_step: float, tol: float):
-    # Hill climbing along pairwise mass moves e_i - e_j; strict
-    # improvements only, step halved when no move helps.
-    m = p.size
+    # Hill climbing along pairwise mass moves e_i - e_j, taken in (i, j)
+    # order; strict improvements only, step halved when a pass finds none.
+    # Each batch evaluates every move from the current point, so it never
+    # has a single row (see _grid_blocks), and the pass goes on after the
+    # first admissible improving move left in it, from the improved point.
+    src, dst = np.nonzero(~np.eye(p.size, dtype=bool))
+    moves = np.eye(p.size)[src] - np.eye(p.size)[dst]
     step = start_step
     while step >= tol:
         improved = True
         while improved:
             improved = False
-            for i, j in _iterproduct(range(m), range(m)):
-                if i == j or p[j] < step:
-                    continue
-                cand = p.copy()
-                cand[i] += step
-                cand[j] -= step
-                cand /= cand.sum()
-                v = _ratio_point(cand, matrix, p_star, q_star)
-                if v > value:
-                    p, value = cand, v
-                    improved = True
+            at = 0
+            while at < src.size:
+                cands = p + step * moves
+                cands /= cands.sum(axis=1, keepdims=True)
+                ratios = _ratio_rows(cands, matrix, p_star, q_star)
+                better = at + np.flatnonzero(((p[dst] >= step) & (ratios > value))[at:])
+                if better.size == 0:
+                    break
+                at = better[0] + 1
+                p, value = cands[better[0]], float(ratios[better[0]])
+                improved = True
         step *= 0.5
     return p, value
 
@@ -146,8 +175,10 @@ def contraction_coefficient(
 
     Dense simplex grid of the given composition depth (points within
     1e-9 total variation of p* are excluded), then simplex-move
-    refinement down to ``refine_tol``.  Deterministic: grid ties keep
-    the lexicographically first composition.
+    refinement down to ``refine_tol``.  The grid is streamed in blocks
+    of about 2^15 points, so memory does not grow with the grid.
+    Deterministic: grid ties keep the lexicographically first
+    composition.  The reference pmf must have full support.
     """
     if grid_depth < 2:
         raise ParameterError(f"need grid_depth >= 2, got {grid_depth}")
@@ -155,15 +186,26 @@ def contraction_coefficient(
         raise ContractViolation(
             f"channel expects {channel.n_in} inputs, reference pmf has {len(p_star)}"
         )
+    zeros = np.flatnonzero(p_star.weights == 0.0)
+    if zeros.size:
+        raise ParameterError(f"reference pmf needs full support, but p_star[{zeros[0]}] = 0")
     q_star = channel.apply(p_star)
-    grid = _grid_pmfs(grid_depth, len(p_star))
-    ratios = _ratio_rows(grid, channel.matrix, p_star.weights, q_star.weights)
-    best = int(np.argmax(ratios))
-    if not np.isfinite(ratios[best]):
+    # np.argmax returns the first NaN, so a NaN or +inf block winner fails
+    # as a winner of the whole grid would, and so does a grid of -inf.
+    best, argbest = -np.inf, None
+    for grid in _grid_blocks(grid_depth, len(p_star)):
+        ratios = _ratio_rows(grid, channel.matrix, p_star.weights, q_star.weights)
+        i = int(np.argmax(ratios))
+        if not ratios[i] < np.inf:
+            best = np.nan
+            break
+        if ratios[i] > best:
+            best, argbest = float(ratios[i]), grid[i].copy()
+    if not np.isfinite(best):
         raise ParameterError("no admissible grid point; reference pmf degenerate?")
     p, value = _refine_simplex(
-        grid[best].copy(),
-        float(ratios[best]),
+        argbest,
+        best,
         channel.matrix,
         p_star.weights,
         q_star.weights,

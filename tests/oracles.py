@@ -4,6 +4,8 @@ These deliberately avoid the library's counting paths: solution counts
 come from sweeping all 2^n assignments against per-constraint sums, and
 ensemble expectations from enumerating every wiring permutation of the
 smallest nontrivial family (k=4, d=2, n=4; 8! = 40320 configurations).
+The contraction grid and its refinement have one-point-at-a-time
+references: recursive composition tuples and a sequential hill climb.
 """
 
 from __future__ import annotations
@@ -77,3 +79,48 @@ def exhaustive_k4_d2_n4() -> dict:
         "mean_zx1": Fraction(int((z * x1).sum()), n_cfg),
         "mean_redundant": Fraction(int(redundant.sum()), n_cfg),
     }
+
+
+def compositions_reference(total: int, parts: int):
+    """Compositions of ``total`` into ``parts`` entries, lexicographic, as tuples."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in compositions_reference(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def grid_reference(depth: int, parts: int) -> np.ndarray:
+    """The simplex grid as pmf rows: compositions / depth, normalised by the row sum."""
+    grid = np.array(list(compositions_reference(depth, parts)), dtype=float) / depth
+    return grid / grid.sum(axis=1, keepdims=True)
+
+
+def refine_sequential(p, value, evaluate, start_step: float, tol: float):
+    """Hill climb along pairwise moves e_i - e_j, one candidate at a time.
+
+    Moves are tried in (i, j) order and a strict improvement is taken at
+    once; the pass goes on from the improved point, passes repeat until
+    one improves nothing, then the step halves, down to ``tol``.
+    ``evaluate(p)`` gives the objective at one point.
+    """
+    m = p.size
+    step = start_step
+    while step >= tol:
+        improved = True
+        while improved:
+            improved = False
+            for i, j in itertools.product(range(m), range(m)):
+                if i == j or p[j] < step:
+                    continue
+                cand = p.copy()
+                cand[i] += step
+                cand[j] -= step
+                cand /= cand.sum()
+                v = evaluate(cand)
+                if v > value:
+                    p, value = cand, v
+                    improved = True
+        step *= 0.5
+    return p, value

@@ -224,6 +224,12 @@ class TestErrorContract:
         assert run(["sdpi", "--channel", str(channel)]) == 2
         assert "channel entries must be finite" in capsys.readouterr().err
 
+    def test_point_mass_reference_exits_2(self, tmp_path, capsys):
+        channel = tmp_path / "channel.txt"
+        channel.write_text("n_in = 2\nn_out = 2\nmatrix = [0.9, 0.1, 0.2, 0.8]\np_star = [1.0, 0.0]\n")
+        assert run(["sdpi", "--channel", str(channel)]) == 2
+        assert "reference pmf needs full support, but p_star[1] = 0" in capsys.readouterr().err
+
     def test_import_leaves_scipy_out(self):
         code = "import sys, occuthresh.cli; sys.exit('scipy' in sys.modules)"
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}

@@ -55,7 +55,7 @@ MOMENTS_EXACT = {
         "ln_EZ_exact = -0.47702962465439214",
         "ln_EZ_asymptotic = -0.47008807643832695",
         "ln_ratio_exact = 1.7176055093342473",
-        "ln_ratio_asymptotic = 0.5493061443340548",
+        "ln_ratio_asymptotic = nan",  # d = 3 is above d*(4) ~ 2.83: no finite limit
         "l = 1",
         "ln_EZXl = 0.24428843287225088",
         "mu_l = 2.0",

@@ -244,6 +244,13 @@ class TestSecondMoment:
         with pytest.raises(ParameterError):
             second_moment_asymptotic(4, 4)
 
+    @pytest.mark.parametrize("k, d", [(4, 3), (5, 4), (6, 4)])
+    def test_no_limit_above_threshold(self, k, d):
+        """Above d*(k), E[Z] -> 0 and E[Z^2]/E[Z]^2 >= 1/P(Z>0) diverges."""
+        assert d > threshold_dstar(k).d_star
+        with pytest.raises(ParameterError, match="finite limit"):
+            second_moment_asymptotic(k, d)
+
 
 class TestJointMoment:
     def test_exact_matches_exhaustive(self, exhaustive):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from occuthresh import sdpi
 from occuthresh.errors import CertificateError, ContractViolation, ParameterError, ParseError
 from occuthresh.moments import OverlapPoint, input_kl, input_count_pmf, output_kl, output_count_pmf, w_star
 from occuthresh.numerics import Channel, Pmf, find_root
@@ -26,6 +27,7 @@ from occuthresh.sdpi import (
     occupation_contraction,
     parse_channel,
 )
+from tests.oracles import grid_reference, refine_sequential
 
 # Depth-2000 grid oracle for BSC(0.1) with uniform reference, pinned once.
 BSC_GOLDEN = 0.639999961600007
@@ -75,6 +77,18 @@ class TestOccupationChannel:
     def test_small_k_rejected(self):
         with pytest.raises(ParameterError):
             occupation_channel(3)
+
+    @pytest.mark.parametrize("k", range(4, 13))
+    def test_chi2_coefficient_is_one_over_k_minus_1(self, k):
+        """Second singular value^2 of diag(q*)^-1/2 W diag(p*)^1/2 equals 1/(k-1)."""
+        occ = occupation_channel(k)
+        scaled = (
+            occ.channel.matrix
+            * np.sqrt(occ.p_star.weights)[None, :]
+            / np.sqrt(occ.q_star.weights)[:, None]
+        )
+        sigma = np.linalg.svd(scaled, compute_uv=False)
+        assert abs(sigma[1] ** 2 - 1.0 / (k - 1)) <= 1e-15
 
 
 class TestParametrizations:
@@ -189,6 +203,114 @@ class TestContractionCoefficient:
         with pytest.raises(ContractViolation):
             contraction_coefficient(Pmf(np.array([0.5, 0.5])), Channel(np.eye(3)))
 
+    def test_reference_needs_full_support(self):
+        with pytest.raises(ParameterError, match=r"full support, but p_star\[1\] = 0"):
+            contraction_coefficient(Pmf(np.array([1.0, 0.0, 0.0])), Channel(np.eye(3)))
+
+
+def _random_channel(rng, n_in, order="F"):
+    # "F" is the layout parse_channel builds; "C" that of a literal matrix.
+    matrix = np.asarray(rng.dirichlet(np.ones(3), size=n_in).T, order=order)
+    return Pmf(rng.dirichlet(np.ones(n_in) * 4.0)), Channel(matrix)
+
+
+class TestStreamedGrid:
+    @pytest.mark.parametrize("depth, parts", [(2, 2), (7, 5), (12, 4), (40, 3)])
+    @pytest.mark.parametrize("block_rows", [3, 5, sdpi._BLOCK_ROWS])
+    def test_blocks_match_tuple_grid(self, monkeypatch, depth, parts, block_rows):
+        monkeypatch.setattr(sdpi, "_BLOCK_ROWS", block_rows)
+        blocks = list(sdpi._grid_blocks(depth, parts))
+        assert all(len(b) >= 2 for b in blocks)
+        grid = np.concatenate(blocks)
+        ref = grid_reference(depth, parts)
+        assert grid.shape == ref.shape
+        assert grid.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("block_rows", [3, 5])
+    def test_block_size_leaves_results_unchanged(self, monkeypatch, block_rows):
+        rng = np.random.default_rng(21)
+        cases = [(Pmf(np.array([0.3, 0.3, 0.4])), Channel(np.eye(3)), 20)]  # all ratios tie at 1
+        for n_in, order in [(2, "F"), (3, "F"), (3, "C"), (4, "F"), (4, "C")]:
+            cases.append((*_random_channel(rng, n_in, order), 12))
+        expected = [contraction_coefficient(p, w, grid_depth=d, refine_tol=1e-8) for p, w, d in cases]
+        monkeypatch.setattr(sdpi, "_BLOCK_ROWS", block_rows)
+        for (p, w, d), (value, argmax) in zip(cases, expected):
+            got, got_arg = contraction_coefficient(p, w, grid_depth=d, refine_tol=1e-8)
+            assert got.hex() == value.hex()
+            assert got_arg.weights.tobytes() == argmax.weights.tobytes()
+
+    def test_identity_ties_keep_first_composition(self, monkeypatch):
+        monkeypatch.setattr(sdpi, "_BLOCK_ROWS", 3)
+        _, argmax = contraction_coefficient(
+            Pmf(np.array([0.3, 0.3, 0.4])), Channel(np.eye(3)), grid_depth=20
+        )
+        assert argmax.weights.tolist() == [0.0, 0.0, 1.0]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_winner_in_a_later_block_raises(self, monkeypatch, bad):
+        monkeypatch.setattr(sdpi, "_BLOCK_ROWS", 5)
+        ratio_rows = sdpi._ratio_rows
+        calls = []
+
+        def poisoned(ps, *args):
+            ratios = ratio_rows(ps, *args)
+            calls.append(len(ps))
+            if len(calls) == 3:
+                ratios[-1] = bad
+            return ratios
+
+        monkeypatch.setattr(sdpi, "_ratio_rows", poisoned)
+        with pytest.raises(ParameterError, match="no admissible grid point"):
+            contraction_coefficient(Pmf(np.array([0.2, 0.3, 0.5])), Channel(np.eye(3)), grid_depth=10)
+        assert len(calls) == 3
+
+    def test_all_excluded_grid_raises(self):
+        # A single input: the one grid point is p* itself, excluded, so every ratio is -inf.
+        with pytest.raises(ParameterError, match="no admissible grid point"):
+            contraction_coefficient(Pmf(np.array([1.0])), Channel(np.array([[0.5], [0.5]])))
+
+
+class TestBatchedRefine:
+    @staticmethod
+    def _climb(p_star, channel, evaluate_rows, seed):
+        args = (channel.matrix, p_star.weights, channel.apply(p_star).weights)
+        start = np.random.default_rng(seed).dirichlet(np.ones(len(p_star)))
+        value = float(sdpi._ratio_rows(np.stack([start, start]), *args)[0])
+        batched = sdpi._refine_simplex(start, value, *args, start_step=1 / 40, tol=1e-6)
+        reference = refine_sequential(
+            start, value, lambda c: float(evaluate_rows(c, args)[0]), start_step=1 / 40, tol=1e-6
+        )
+        return batched, reference
+
+    @pytest.mark.parametrize("n_in", [2, 3])
+    def test_matches_one_point_climb(self, n_in):
+        """Bit for bit against one-row evaluations on the layout parse_channel builds."""
+        rng = np.random.default_rng(100 + n_in)
+        for trial in range(5):
+            p_star, channel = _random_channel(rng, n_in)
+            (p, v), (p_ref, v_ref) = self._climb(
+                p_star, channel, lambda c, a: sdpi._ratio_rows(c.reshape(1, -1), *a), trial
+            )
+            assert v.hex() == v_ref.hex(), trial
+            assert p.tobytes() == p_ref.tobytes(), trial
+
+    @pytest.mark.parametrize("n_in, order", [(2, "C"), (3, "C"), (4, "F"), (4, "C")])
+    def test_matches_one_point_climb_in_batch_arithmetic(self, n_in, order):
+        """Same climb when each point is evaluated as a row of a many-row product.
+
+        A one-row product takes BLAS's matrix-vector path; for these
+        layouts its last bits can differ from the many-row path's, so the
+        reference evaluates each point within a two-row product.
+        """
+        rng = np.random.default_rng(200 + n_in)
+        for trial in range(5):
+            p_star, channel = _random_channel(rng, n_in, order)
+            (p, v), (p_ref, v_ref) = self._climb(
+                p_star, channel, lambda c, a: sdpi._ratio_rows(np.stack([c, c]), *a), trial
+            )
+            assert v.hex() == v_ref.hex(), trial
+            assert p.tobytes() == p_ref.tobytes(), trial
+
 
 class TestOccupationContraction:
     def test_k4_supremum_at_corner(self):
@@ -207,6 +329,7 @@ class TestOccupationContraction:
         for k in (4, 5, 6):
             res = occupation_contraction(k, grid_depth=80)
             assert res.sup >= res.conjectured - 1e-9
+            assert res.sup >= 1.0 / (k - 1)  # the chi-square coefficient bounds eta_KL below
 
 
 class TestK4Curves:
