@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -50,7 +50,6 @@ class RunManifest:
     version: str = __version__
     started: str = ""
     finished: str = ""
-    extra: dict = field(default_factory=dict)
 
     def comment_lines(self) -> list[str]:
         rows = [

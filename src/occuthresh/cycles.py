@@ -116,24 +116,16 @@ def _census_pairs(cfg: Configuration, l_max: int) -> tuple:
     return tuple(counts)
 
 
-def count_cycles(cfg: Configuration, l_max: int, method: str = "auto") -> CycleCensus:
+def count_cycles(cfg: Configuration, l_max: int) -> CycleCensus:
     """Census of 2l-cycles for l = 1 .. l_max.
 
-    ``method`` is "walk" (directed-walk enumeration), "pairs"
-    (multiplicity counting, l_max <= 2 only), or "auto" (pairs when
-    applicable, walk otherwise).
+    Multiplicity counting for l_max <= 2, directed-walk enumeration above.
     """
     if l_max < 1:
         raise ParameterError(f"need l_max >= 1, got {l_max}")
-    if method == "auto":
-        method = "pairs" if l_max <= 2 else "walk"
-    if method == "pairs":
-        if l_max > 2:
-            raise ParameterError("pair counting only covers l_max <= 2")
+    if l_max <= 2:
         return CycleCensus(_census_pairs(cfg, l_max))
-    if method == "walk":
-        return CycleCensus(_census_walk(cfg, l_max))
-    raise ParameterError(f"unknown census method {method!r}")
+    return CycleCensus(_census_walk(cfg, l_max))
 
 
 def lambda_l(l: int, k: int, d: int) -> float:

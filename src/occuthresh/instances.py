@@ -3,9 +3,13 @@
 A configuration wires the ``d*n`` variable half-edges (v-edges) to the
 ``k*m`` constraint half-edges (f-edges) by a single flat permutation:
 v-edge ``(i, h)`` lives at index ``i*d + h`` and f-edge ``(a, h')`` at
-``a*k + h'`` (zero-based; display is one-based).  Sampling uses a seeded
-Fisher-Yates shuffle driven by SplitMix64, so identical seeds give
-identical instances on every platform.
+``a*k + h'`` (zero-based; display is one-based).  Sampling is a
+Fisher-Yates shuffle (Knuth, TAOCP vol. 2, Algorithm P) whose bounded
+draws come from the SplitMix64 stream of the seed (Steele, Lea & Flood,
+OOPSLA 2014) by rejection below the largest multiple of each bound.  The
+stream is a pure function of (seed, index), so identical seeds give
+identical instances on every platform, and a shuffle takes all of its
+draws in one array.
 
 Seed splitting: child ``i`` of a master seed is the ``(i+1)``-st output
 of the SplitMix64 sequence started at the master seed.  Callers
@@ -52,46 +56,30 @@ def child_seed(master: int, index: int) -> int:
     return int(splitmix64_outputs(master, index, 1)[0])
 
 
-class Rng:
-    """Buffered SplitMix64 generator with unbiased bounded integers."""
+def _permutation(seed: int, n: int) -> np.ndarray:
+    """Uniform permutation of range(n): Fisher-Yates on the stream of ``seed``.
 
-    def __init__(self, seed: int):
-        self._seed = seed & _M64
-        self._consumed = 0
-        self._buffer: list[int] = []
-        self._pos = 0
-
-    def _refill(self, count: int):
-        block = splitmix64_outputs(self._seed, self._consumed, count)
-        self._consumed += count
-        self._buffer = block.tolist()
-        self._pos = 0
-
-    def next_u64(self) -> int:
-        if self._pos >= len(self._buffer):
-            self._refill(4096)
-        v = self._buffer[self._pos]
-        self._pos += 1
-        return v
-
-    def randbelow(self, n: int) -> int:
-        # Classic rejection below the largest multiple of n, so every
-        # residue is equally likely.
-        limit = (1 << 64) - ((1 << 64) % n)
-        while True:
-            u = self.next_u64()
-            if u < limit:
-                return u % n
-
-    def permutation(self, n: int) -> np.ndarray:
-        """Uniform permutation of range(n) via Fisher-Yates."""
-        if len(self._buffer) - self._pos < n + 16:
-            self._refill(max(4096, n + 64))
-        arr = list(range(n))
-        for i in range(n - 1, 0, -1):
-            j = self.randbelow(i + 1)
-            arr[i], arr[j] = arr[j], arr[i]
-        return np.asarray(arr, dtype=np.int64)
+    Step ``i = n-1 .. 1`` swaps slot ``i`` with slot ``u mod (i+1)``,
+    where ``u`` is the next stream output at most ``top``: one less than
+    the largest multiple of ``i+1`` up to 2^64.  Outputs above ``top``
+    are skipped, so every residue is equally likely.  All draws are
+    tested at once: the first rejected one is dropped, the later ones
+    move up a step, the next stream output joins at the end, and the
+    test runs again.
+    """
+    bounds = np.arange(n, 1, -1).astype(np.uint64)
+    top = ~((np.uint64(0) - bounds) % bounds)
+    draws = splitmix64_outputs(seed, 0, n - 1)
+    read = n - 1
+    rejected = np.flatnonzero(draws > top)
+    while rejected.size:
+        draws = np.append(np.delete(draws, rejected[0]), splitmix64_outputs(seed, read, 1))
+        read += 1
+        rejected = np.flatnonzero(draws > top)
+    arr = list(range(n))
+    for i, j in zip(range(n - 1, 0, -1), (draws % bounds).tolist()):
+        arr[i], arr[j] = arr[j], arr[i]
+    return np.asarray(arr, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -165,8 +153,7 @@ class FactorGraph:
 
 def sample_configuration(params: Params, seed: int) -> Configuration:
     """Uniform configuration via seeded Fisher-Yates on the d*n slots."""
-    rng = Rng(seed)
-    return Configuration(params, rng.permutation(params.n_slots))
+    return Configuration(params, _permutation(seed, params.n_slots))
 
 
 def to_factor_graph(cfg: Configuration) -> FactorGraph:

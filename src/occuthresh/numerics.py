@@ -65,12 +65,16 @@ class Pmf:
 
 @dataclass(frozen=True)
 class Channel:
-    """Column-stochastic transition matrix; entry (y, x) = P[output y | input x]."""
+    """Column-stochastic transition matrix; entry (y, x) = P[output y | input x].
+
+    The matrix is stored column-major whatever order it arrives in, so
+    results computed from it do not depend on the caller's layout.
+    """
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
+        m = np.asfortranarray(self.matrix, dtype=float)
         object.__setattr__(self, "matrix", m)
         if m.ndim != 2 or m.size == 0:
             raise ContractViolation("channel matrix must be 2-d")

@@ -175,13 +175,16 @@ def contraction_coefficient(
 
     Dense simplex grid of the given composition depth (points within
     1e-9 total variation of p* are excluded), then simplex-move
-    refinement down to ``refine_tol``.  The grid is streamed in blocks
-    of about 2^15 points, so memory does not grow with the grid.
+    refinement down to ``refine_tol``, which must be finite and
+    positive.  The grid is streamed in blocks of about 2^15 points, so
+    memory does not grow with the grid.
     Deterministic: grid ties keep the lexicographically first
     composition.  The reference pmf must have full support.
     """
     if grid_depth < 2:
         raise ParameterError(f"need grid_depth >= 2, got {grid_depth}")
+    if not (math.isfinite(refine_tol) and refine_tol > 0.0):
+        raise ParameterError(f"need a finite refine_tol > 0, got {refine_tol}")
     if channel.n_in != len(p_star):
         raise ContractViolation(
             f"channel expects {channel.n_in} inputs, reference pmf has {len(p_star)}"

@@ -6,6 +6,8 @@ ensemble expectations from enumerating every wiring permutation of the
 smallest nontrivial family (k=4, d=2, n=4; 8! = 40320 configurations).
 The contraction grid and its refinement have one-point-at-a-time
 references: recursive composition tuples and a sequential hill climb.
+The sampler's reference is the scalar Fisher-Yates loop, one stream
+output and one rejection test at a time.
 """
 
 from __future__ import annotations
@@ -124,3 +126,34 @@ def refine_sequential(p, value, evaluate, start_step: float, tol: float):
                     improved = True
         step *= 0.5
     return p, value
+
+
+def fisher_yates_reference(seed: int, n: int, outputs) -> np.ndarray:
+    """Fisher-Yates (Knuth's Algorithm P) reading the stream one output at a time.
+
+    ``outputs(seed, start, count)`` gives stream outputs ``start ..
+    start+count-1``; it is read in blocks, but every output passes
+    through ``randbelow`` on its own, which rejects outputs at or above
+    the largest multiple of the bound.
+    """
+
+    def stream():
+        start = 0
+        while True:
+            yield from outputs(seed, start, 1024).tolist()
+            start += 1024
+
+    values = stream()
+
+    def randbelow(bound: int) -> int:
+        limit = (1 << 64) - ((1 << 64) % bound)
+        while True:
+            u = next(values)
+            if u < limit:
+                return u % bound
+
+    arr = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = randbelow(i + 1)
+        arr[i], arr[j] = arr[j], arr[i]
+    return np.asarray(arr, dtype=np.int64)

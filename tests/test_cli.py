@@ -230,6 +230,14 @@ class TestErrorContract:
         assert run(["sdpi", "--channel", str(channel)]) == 2
         assert "reference pmf needs full support, but p_star[1] = 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("subcommand", ["sdpi", "conjecture"])
+    def test_zero_refine_tol_exits_2(self, tmp_path, capsys, subcommand):
+        channel = tmp_path / "channel.txt"
+        channel.write_text("n_in = 2\nn_out = 2\nmatrix = [0.9, 0.1, 0.2, 0.8]\np_star = [0.5, 0.5]\n")
+        target = ["--channel", str(channel)] if subcommand == "sdpi" else ["--k", "5"]
+        assert run([subcommand, *target, "--grid-depth", "20", "--refine-tol", "0"]) == 2
+        assert "need a finite refine_tol > 0, got 0.0" in capsys.readouterr().err
+
     def test_import_leaves_scipy_out(self):
         code = "import sys, occuthresh.cli; sys.exit('scipy' in sys.modules)"
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}

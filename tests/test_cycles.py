@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from occuthresh import cycles
 from occuthresh.errors import ContractViolation, ParameterError
 from occuthresh.instances import (
     Configuration,
@@ -46,20 +47,14 @@ class TestCensus:
         assert census.count(2) == 0
 
     def test_single_long_ring(self):
-        census = count_cycles(ring_config(), 8, method="walk")
+        census = count_cycles(ring_config(), 8)
         assert census.counts == (0, 0, 0, 0, 0, 0, 0, 1)
 
     def test_methods_agree(self):
         for i, (n, d, k) in enumerate([(8, 2, 4), (12, 3, 4), (20, 3, 5), (30, 2, 3)]):
             for t in range(4):
                 cfg = sample_configuration(Params(n=n, d=d, k=k, r=1), child_seed(120 + i, t))
-                walk = count_cycles(cfg, 2, method="walk").counts
-                pairs = count_cycles(cfg, 2, method="pairs").counts
-                assert walk == pairs
-
-    def test_pairs_capped_at_two(self):
-        with pytest.raises(ParameterError):
-            count_cycles(identity_config(), 3, method="pairs")
+                assert cycles._census_walk(cfg, 2) == cycles._census_pairs(cfg, 2)
 
     def test_l_max_validated(self):
         with pytest.raises(ParameterError):
@@ -70,19 +65,19 @@ class TestCensus:
         rng = np.random.default_rng(5)
         for t in range(4):
             cfg = sample_configuration(p, child_seed(33, t))
-            base = count_cycles(cfg, 3, method="walk").counts
+            base = count_cycles(cfg, 3).counts
 
             con_perm = rng.permutation(p.m)
             relabeled = np.empty_like(cfg.wiring)
             for s, f in enumerate(cfg.wiring):
                 a, h = divmod(int(f), p.k)
                 relabeled[s] = con_perm[a] * p.k + h
-            assert count_cycles(Configuration(p, relabeled), 3, method="walk").counts == base
+            assert count_cycles(Configuration(p, relabeled), 3).counts == base
 
             var = int(rng.integers(p.n))
             swapped = cfg.wiring.copy()
             swapped[[var * p.d, var * p.d + 1]] = swapped[[var * p.d + 1, var * p.d]]
-            assert count_cycles(Configuration(p, swapped), 3, method="walk").counts == base
+            assert count_cycles(Configuration(p, swapped), 3).counts == base
 
     def test_mean_x2_matches_lambda(self, census_10k):
         x2 = np.array([c.count(2) for c in census_10k], dtype=float)

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from occuthresh import instances
 from occuthresh.errors import ParameterError, ParseError, RetryLimitError
 from occuthresh.instances import (
     Configuration,
@@ -22,6 +23,7 @@ from occuthresh.instances import (
     splitmix64_outputs,
     to_factor_graph,
 )
+from tests.oracles import fisher_yates_reference
 
 
 def identity_config() -> Configuration:
@@ -52,6 +54,33 @@ class TestSplitMix:
     def test_child_seeds_distinct(self):
         seeds = [child_seed(123, i) for i in range(100)]
         assert len(set(seeds)) == 100
+
+
+_ALL_ONES = np.uint64((1 << 64) - 1)  # rejected below every bound but powers of two
+
+
+def _stream_with_rejections(seed, start, count):
+    """The SplitMix64 stream with ``2^64 - 1`` at every 5th index and at 30..41."""
+    out = splitmix64_outputs(seed, start, count)
+    idx = np.arange(start, start + count)
+    out[(idx % 5 == 0) | ((idx >= 30) & (idx <= 41))] = _ALL_ONES
+    return out
+
+
+class TestFisherYates:
+    @pytest.mark.parametrize("n", [2, 3, 4, 36, 1200, 12000])
+    def test_matches_scalar_reference(self, n):
+        for seed in range(40):
+            got = instances._permutation(seed, n)
+            assert got.tobytes() == fisher_yates_reference(seed, n, splitmix64_outputs).tobytes()
+
+    def test_rejected_draws_match_scalar_reference(self, monkeypatch):
+        monkeypatch.setattr(instances, "splitmix64_outputs", _stream_with_rejections)
+        for n in (2, 3, 4, 36, 1200):
+            for seed in range(5):
+                got = instances._permutation(seed, n)
+                want = fisher_yates_reference(seed, n, _stream_with_rejections)
+                assert got.tobytes() == want.tobytes(), (n, seed)
 
 
 class TestSampling:
