@@ -277,9 +277,12 @@ def deserialize(text: str) -> Configuration:
                 raise ParseError("wiring must be a bracketed integer list", line=line)
             body = value[1:-1].strip()
             try:
-                fields[key] = [int(tok) for tok in body.split(",")] if body else []
+                entries = [int(tok) for tok in body.split(",")] if body else []
+                fields[key] = np.array(entries, dtype=np.int64)
             except ValueError:
                 raise ParseError("wiring entries must be integers", line=line) from None
+            except OverflowError:
+                raise ParseError("wiring entries must fit in a signed 64-bit integer", line=line) from None
         else:
             try:
                 fields[key] = int(value)
@@ -291,9 +294,8 @@ def deserialize(text: str) -> Configuration:
     params = Params(n=fields["n"], d=fields["d"], k=fields["k"], r=fields["r"])
     if fields["m"] != params.m:
         raise ParameterError(f"stated m={fields['m']} but d*n/k={params.m}")
-    wiring = np.asarray(fields["wiring"], dtype=np.int64)
     try:
-        return Configuration(params, wiring)
+        return Configuration(params, fields["wiring"])
     except ParameterError as exc:
         # wiring is the last field, so its line is the last one read
         raise ParseError(str(exc), line=line) from None

@@ -5,11 +5,11 @@ Exact expectations are finite-n identities evaluated in log scale (the
 the corresponding large-n limits.  Everything in this module is specific
 to r = 2 and k >= 4; operations validate both.
 
-Two parametrizations describe the overlap of two solutions.  The "count"
-one tracks w = (w1, w2) with w2 the doubly-shared fraction, and carries
-3-outcome pmfs; the "cell" one uses w2' = w1 - w2 and 2x2 cell
-pmfs.  Both compute identical divergences (the off-diagonal cells merge
-into the middle outcome), which is exercised as a property, not assumed.
+An overlap point w = (w1, w2) of two solutions carries w1, the fraction
+of the first solution's ones that the second shares, and w2, the
+fraction of constraints in which it shares both.  Its input pmf is the
+3-outcome law of the shared-ones count in a constraint; the output pmf
+depends on w only through w1.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ _DOMAIN_TOL = 1e-9
 
 
 def w_star(k: int) -> tuple[float, float]:
-    """The independent-overlap point (2/k, 1/C(k,2)) in count parametrization."""
+    """The independent-overlap point (2/k, 1/C(k,2))."""
     return 2.0 / k, 2.0 / (k * (k - 1))
 
 
@@ -46,38 +46,17 @@ def input_pmf_star(k: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OverlapPoint:
-    """A point measuring the similarity of two solutions.
-
-    count: 2*w1 - 1 <= w2 <= w1; cell: w2 <= w1 and w2 <= 1 - w1.
-    Conversion between the two flips w2 to w1 - w2.
-    """
+    """A point measuring the similarity of two solutions: 2*w1 - 1 <= w2 <= w1."""
 
     w1: float
     w2: float
-    parametrization: str = "count"
 
     def __post_init__(self):
-        if self.parametrization not in ("count", "cell"):
-            raise ParameterError(f"unknown parametrization {self.parametrization!r}")
         w1, w2 = self.w1, self.w2
         if not (-_DOMAIN_TOL <= w1 <= 1.0 + _DOMAIN_TOL and -_DOMAIN_TOL <= w2 <= 1.0 + _DOMAIN_TOL):
             raise ParameterError(f"overlap point out of the unit square: {(w1, w2)}")
-        if self.parametrization == "count":
-            if w2 > w1 + _DOMAIN_TOL or w2 < 2.0 * w1 - 1.0 - _DOMAIN_TOL:
-                raise ParameterError(f"count-parametrization point outside domain: {(w1, w2)}")
-        else:
-            if w2 > w1 + _DOMAIN_TOL or w2 > 1.0 - w1 + _DOMAIN_TOL:
-                raise ParameterError(f"cell-parametrization point outside domain: {(w1, w2)}")
-
-    def to_count(self) -> "OverlapPoint":
-        if self.parametrization == "count":
-            return self
-        return OverlapPoint(self.w1, self.w1 - self.w2, "count")
-
-    def to_cells(self) -> "OverlapPoint":
-        if self.parametrization == "cell":
-            return self
-        return OverlapPoint(self.w1, self.w1 - self.w2, "cell")
+        if w2 > w1 + _DOMAIN_TOL or w2 < 2.0 * w1 - 1.0 - _DOMAIN_TOL:
+            raise ParameterError(f"overlap point outside its domain: {(w1, w2)}")
 
 
 def _clamped(values) -> np.ndarray:
@@ -89,7 +68,6 @@ def _clamped(values) -> np.ndarray:
 
 def input_count_pmf(w: OverlapPoint) -> np.ndarray:
     """3-outcome pmf of the shared-ones count under the second solution."""
-    w = w.to_count()
     return _clamped([1.0 - 2.0 * w.w1 + w.w2, 2.0 * (w.w1 - w.w2), w.w2])
 
 
@@ -99,35 +77,16 @@ def output_count_pmf(w1: float, k: int) -> np.ndarray:
     return _clamped([1.0 - 2.0 * ws + ws * w1, 2.0 * ws * (1.0 - w1), ws * w1])
 
 
-def input_cell_pmf(w: OverlapPoint) -> np.ndarray:
-    """2x2 cell pmf [p00, p01, p10, p11] of (Y_i, Y_j) given (X_i, X_j) = (1, 1)."""
-    w = w.to_cells()
-    return _clamped([1.0 - w.w1 - w.w2, w.w2, w.w2, w.w1 - w.w2])
-
-
-def output_cell_pmf(w1: float, k: int) -> np.ndarray:
-    """2x2 cell pmf [q00, q01, q10, q11] of (X_i, Y_i)."""
-    ws = 2.0 / k
-    return _clamped(
-        [1.0 - 2.0 * ws + ws * w1, ws * (1.0 - w1), ws * (1.0 - w1), ws * w1]
-    )
-
-
 def input_kl(w: OverlapPoint, k: int) -> float:
-    """KL(P_w || P*) in the parametrization carried by ``w``."""
-    if w.parametrization == "count":
-        p, q = input_count_pmf(w), input_pmf_star(k)
-    else:
-        star = OverlapPoint(*w_star(k), "count").to_cells()
-        p, q = input_cell_pmf(w), input_cell_pmf(star)
-    return float(kl_divergence_rows(p.reshape(1, -1), q)[0])
+    """KL(P_w || P*)."""
+    p = input_count_pmf(w)
+    return float(kl_divergence_rows(p.reshape(1, -1), input_pmf_star(k))[0])
 
 
 def output_kl(w: OverlapPoint, k: int) -> float:
-    """KL(Q_w || Q*) in the parametrization carried by ``w``."""
-    ws1 = 2.0 / k
-    pmf = output_count_pmf if w.parametrization == "count" else output_cell_pmf
-    return float(kl_divergence_rows(pmf(w.w1, k).reshape(1, -1), pmf(ws1, k))[0])
+    """KL(Q_w || Q*)."""
+    q, q_star = output_count_pmf(w.w1, k), output_count_pmf(2.0 / k, k)
+    return float(kl_divergence_rows(q.reshape(1, -1), q_star)[0])
 
 
 def _require_k(k: int):
@@ -194,7 +153,7 @@ def phi2(w: OverlapPoint, k: int, d: float) -> float:
 
 @dataclass(frozen=True)
 class Hessian2:
-    """Symmetric 2x2 Hessian of phi2 at w* (count parametrization)."""
+    """Symmetric 2x2 Hessian of phi2 at w* in (w1, w2)."""
 
     h11: float
     h12: float

@@ -184,12 +184,13 @@ def _checked_eval(f, x: float) -> float:
 def find_root(f, lo: float, hi: float, tol: float) -> float:
     """Bisection root of ``f`` on ``[lo, hi]`` down to bracket width ``tol``.
 
-    Requires a strict sign change between the endpoints.
+    Requires a strict sign change between the endpoints and a finite
+    ``tol > 0``.
     """
     if not lo < hi:
         raise ParameterError(f"need lo < hi, got [{lo}, {hi}]")
-    if tol <= 0:
-        raise ParameterError(f"need tol > 0, got {tol}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ParameterError(f"need a finite tol > 0, got {tol}")
     flo = _checked_eval(f, lo)
     fhi = _checked_eval(f, hi)
     if not flo * fhi < 0:

@@ -6,14 +6,20 @@ stages are deterministic (grid points enumerate in lexicographic
 composition order, ties keep the first winner, refinement accepts only
 strict improvements).  The grid is streamed in numpy blocks of about
 2^15 points, so memory does not grow with the grid, and each refine
-step evaluates its simplex moves in one batch.  The occupation family
-instantiates this for the 3x3 channel whose inputs measure solution
-overlap; its conjectured supremum sits at the degenerate corner pmf.
+step evaluates its simplex moves in one batch.
+
+The occupation family is the 3x3 channel whose inputs measure solution
+overlap.  Its output depends on the overlap only through w1, so its
+supremum is a search over w1 alone: at each w1 the ratio is scored at
+the input pmf of least divergence, which ``_minimizing_cells`` gives in
+closed form for every k.  The conjectured supremum sits at the
+degenerate corner w1 = 1.
 
 The k = 4 functions certify, at grid resolution, that the conjectured
 corner value really is the supremum.  All bound curves are closed
-forms; the one numeric ingredient is the crossover abscissa of the two
-lower bounds, computed by bisection exactly as the certificate records.
+forms that take a scalar or an array of w1; the one numeric ingredient
+is the crossover abscissa of the two lower bounds, computed by
+bisection exactly as the certificate records.
 """
 
 from __future__ import annotations
@@ -28,10 +34,8 @@ from .instances import read_fields
 from .moments import (
     OverlapPoint,
     input_kl,
-    input_count_pmf,
     input_pmf_star,
     output_kl,
-    output_count_pmf,
     w_star,
 )
 from .numerics import Channel, Pmf, binary_entropy, find_root, kl_divergence_rows
@@ -165,6 +169,13 @@ def _refine_simplex(p, value, matrix, p_star, q_star, start_step: float, tol: fl
     return p, value
 
 
+def _check_search(grid_depth: int, refine_tol: float):
+    if grid_depth < 2:
+        raise ParameterError(f"need grid_depth >= 2, got {grid_depth}")
+    if not (math.isfinite(refine_tol) and refine_tol > 0.0):
+        raise ParameterError(f"need a finite refine_tol > 0, got {refine_tol}")
+
+
 def contraction_coefficient(
     p_star: Pmf,
     channel: Channel,
@@ -181,10 +192,7 @@ def contraction_coefficient(
     Deterministic: grid ties keep the lexicographically first
     composition.  The reference pmf must have full support.
     """
-    if grid_depth < 2:
-        raise ParameterError(f"need grid_depth >= 2, got {grid_depth}")
-    if not (math.isfinite(refine_tol) and refine_tol > 0.0):
-        raise ParameterError(f"need a finite refine_tol > 0, got {refine_tol}")
+    _check_search(grid_depth, refine_tol)
     if channel.n_in != len(p_star):
         raise ContractViolation(
             f"channel expects {channel.n_in} inputs, reference pmf has {len(p_star)}"
@@ -231,16 +239,29 @@ def occupation_contraction(
 ) -> OccupationContraction:
     """Supremum of the divergence ratio over the overlap region.
 
-    Every pmf on three outcomes is an admissible input, so the search
-    runs on the full simplex; the overlap point is recovered from the
-    winning pmf via w = (p1/2 + p2, p2).
+    The output pmf depends on the overlap only through w1, so at fixed
+    w1 the ratio is largest where the input divergence is smallest.  The
+    search scores that minimizing pmf at w1 = i / grid_depth, from w1 = 1
+    down (ties keep the larger w1, as the simplex grid keeps (0, 0, 1)),
+    then refines the winner by simplex moves over all 3-outcome pmfs.
+    The overlap point is recovered from the final pmf via
+    w = (p1/2 + p2, p2).
     """
+    _check_search(grid_depth, refine_tol)
     occ = occupation_channel(k)
-    sup, argpmf = contraction_coefficient(
-        occ.p_star, occ.channel, grid_depth=grid_depth, refine_tol=refine_tol
+    w1 = np.arange(grid_depth, -1, -1) / grid_depth
+    p11, p00 = _minimizing_cells(k, w1)
+    rows = np.column_stack([p00, 2.0 * (w1 - p11), p11])
+    rows /= rows.sum(axis=1, keepdims=True)
+    args = (occ.channel.matrix, occ.p_star.weights, occ.q_star.weights)
+    ratios = _ratio_rows(rows, *args)
+    i = int(np.argmax(ratios))
+    if not np.isfinite(ratios[i]):
+        raise ParameterError("no admissible grid point; reference pmf degenerate?")
+    p, sup = _refine_simplex(
+        rows[i], float(ratios[i]), *args, start_step=1.0 / grid_depth, tol=refine_tol
     )
-    p = argpmf.weights
-    arg = OverlapPoint(float(p[1] / 2.0 + p[2]), float(p[2]), "count")
+    arg = OverlapPoint(float(p[1] / 2.0 + p[2]), float(p[2]))
     conjectured = conjectured_contraction(k)
     if sup < conjectured - 1e-9:
         raise CertificateError(
@@ -250,7 +271,7 @@ def occupation_contraction(
 
 
 # ---------------------------------------------------------------------------
-# k = 4: closed-form curves (cell parametrization) and the certificate
+# The w2 minimizer at fixed w1; k = 4 closed-form curves and the certificate
 # ---------------------------------------------------------------------------
 
 _W_PLUS = 5.0 / 12.0
@@ -272,82 +293,85 @@ def _check_unit(w1, name: str):
     return w1
 
 
-def _d2_vec(w1) -> np.ndarray:
-    w1 = _check_unit(w1, "output divergence")
-    return _xlny(w1, 2.0 * w1) + _xlny(1.0 - w1, 2.0 * (1.0 - w1))
+def _like(w1, value):
+    # The curves below take a scalar or an array of w1: a scalar in gives
+    # a Python float out, an array gives the array.
+    return float(value) if np.ndim(w1) == 0 else value
 
 
-def _sqrt_disc(w1: np.ndarray) -> np.ndarray:
-    return np.sqrt(12.0 * (w1 - 0.5) ** 2 + 1.0)
+def _minimizer_root(k: int, w1):
+    # a = (k-1)/(2(k-2)) and root = sqrt(16a (w1 - 1/2)^2 + 4(1-a)); at
+    # k = 4 every coefficient is exact (a = 3/4).
+    a = (k - 1.0) / (2.0 * (k - 2.0))
+    return a, np.sqrt(16.0 * a * (w1 - 0.5) ** 2 + 4.0 * (1.0 - a))
 
 
-def _dmin_cells(w1: np.ndarray):
-    # Cells of the w2-minimized input pmf, in cancellation-free form:
-    # p11 = w1^2 / (sqrt(D) + 2 - 3 w1), p00 = (1 - w1)^2 / (sqrt(D) + 3 w1 - 1).
-    root = _sqrt_disc(w1)
-    p11 = w1 * w1 / (root + 2.0 - 3.0 * w1)
-    p00 = (1.0 - w1) ** 2 / (root + 3.0 * w1 - 1.0)
+def _minimizing_cells(k: int, w1):
+    """Cells (p11, p00) of the input pmf minimizing its divergence at fixed w1.
+
+    The minimum satisfies p00 p11 = 4c p01^2 with c = (k-3)/(8(k-2)),
+    p01 = w1 - p11 and p00 = 1 - 2 w1 + p11; both cells are taken in
+    cancellation-free form.
+    """
+    a, root = _minimizer_root(k, w1)
+    p11 = 4.0 * (1.0 - a) * w1 * w1 / (root + 2.0 - 4.0 * a * w1)
+    p00 = 4.0 * (1.0 - a) * (1.0 - w1) ** 2 / (root + 4.0 * a * w1 - (4.0 * a - 2.0))
     return p11, p00
 
 
-def _dmin_vec(w1) -> np.ndarray:
-    w1 = _check_unit(w1, "minimized input divergence")
-    p11, p00 = _dmin_cells(w1)
-    return _xlny(w1, 6.0 * p11) + _xlny(1.0 - w1, 6.0 * p00)
+def minimizing_w2(k: int, w1):
+    """The cell w2 = p01 minimizing the input divergence at fixed w1: (2 - root) / (4a)."""
+    if k < 4:
+        raise ParameterError(f"need k >= 4, got {k}")
+    w1 = _check_unit(w1, "minimizing w2")
+    a, root = _minimizer_root(k, w1)
+    return _like(w1, (2.0 - root) / (4.0 * a))
 
 
-def _dplus_vec(w1) -> np.ndarray:
-    w1 = _check_unit(w1, "quadratic bound")
-    return 6.0 * (0.5 - w1) ** 2
-
-
-def _dminus_vec(w1) -> np.ndarray:
-    w1 = np.asarray(w1, dtype=float)
-    if np.any((w1 < 0.0) | (w1 > _W_PLUS)):
-        raise ParameterError(f"log-sum bound needs w1 in [0, 5/12], got {w1!r}")
-    return _xlny(2.0 * w1, 12.0 * w1 / 5.0) + _xlny(1.0 - 2.0 * w1, 6.0 - 12.0 * w1)
-
-
-def k4_output_divergence(w1: float) -> float:
+def k4_output_divergence(w1):
     """KL of the output cells from their reference: w1 ln(2w1) + (1-w1) ln(2(1-w1))."""
-    return float(_d2_vec(w1))
+    w1 = _check_unit(w1, "output divergence")
+    return _like(w1, _xlny(w1, 2.0 * w1) + _xlny(1.0 - w1, 2.0 * (1.0 - w1)))
 
 
 def k4_input_divergence(w1: float, w2: float) -> float:
-    """KL of the input cells from their reference at a cell-parametrized point."""
-    OverlapPoint(w1, w2, "cell")
+    """KL of the input cells from their reference at the cell point (w1, w2 = p01)."""
+    if not (0.0 <= w1 <= 1.0 and 0.0 <= w2 <= min(w1, 1.0 - w1)):
+        raise ParameterError(
+            f"input divergence needs w1 in [0, 1] and 0 <= w2 <= min(w1, 1 - w1), got {(w1, w2)}"
+        )
     p11 = w1 - w2
     p00 = 1.0 - w1 - w2
     return float(_xlny(p11, 6.0 * p11) + _xlny(2.0 * w2, 3.0 * w2) + _xlny(p00, 6.0 * p00))
 
 
-def k4_minimizing_w2(w1: float) -> float:
-    """The w2 minimizing the input divergence at fixed w1: (2 - sqrt(D)) / 3."""
-    w1 = float(_check_unit(w1, "minimizing w2"))
-    return (2.0 - float(_sqrt_disc(np.asarray(w1)))) / 3.0
-
-
-def k4_min_input_divergence(w1: float) -> float:
+def k4_min_input_divergence(w1):
     """Input divergence minimized over w2 at fixed w1."""
-    return float(_dmin_vec(w1))
+    w1 = _check_unit(w1, "minimized input divergence")
+    p11, p00 = _minimizing_cells(4, w1)
+    return _like(w1, _xlny(w1, 6.0 * p11) + _xlny(1.0 - w1, 6.0 * p00))
 
 
-def k4_quadratic_bound(w1: float) -> float:
+def k4_quadratic_bound(w1):
     """Lower bound 6 (1/2 - w1)^2 on the minimized input divergence."""
-    return float(_dplus_vec(w1))
+    w1 = _check_unit(w1, "quadratic bound")
+    return _like(w1, 6.0 * (0.5 - w1) ** 2)
 
 
-def k4_logsum_bound(w1: float) -> float:
+def k4_logsum_bound(w1):
     """Log-sum-inequality lower bound on [0, 5/12]; value 0 at the right end."""
-    return float(_dminus_vec(w1))
+    w1 = np.asarray(w1, dtype=float)
+    if np.any((w1 < 0.0) | (w1 > _W_PLUS)):
+        raise ParameterError(f"log-sum bound needs w1 in [0, 5/12], got {w1!r}")
+    return _like(w1, _xlny(2.0 * w1, 12.0 * w1 / 5.0) + _xlny(1.0 - 2.0 * w1, 6.0 - 12.0 * w1))
 
 
-def k4_ratio_envelope(w1: float) -> float:
+def k4_ratio_envelope(w1):
     """Largest divergence ratio at fixed w1; the removable point 1/2 maps to 1/3."""
-    w1 = float(_check_unit(w1, "ratio envelope"))
-    if w1 == 0.5:
-        return 1.0 / 3.0
-    return float(_d2_vec(w1) / _dmin_vec(w1))
+    w1 = _check_unit(w1, "ratio envelope")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.divide(k4_output_divergence(w1), k4_min_input_divergence(w1))
+    return _like(w1, np.where(w1 == 0.5, 1.0 / 3.0, ratio))
 
 
 @dataclass(frozen=True)
@@ -390,14 +414,14 @@ def certify_k4_contraction(grid_points: int = 20001, root_tol: float = 1e-12) ->
     margins = {}
 
     xs = np.linspace(0.0, 1.0, grid_points)
-    gap_plus = _dmin_vec(xs) - _dplus_vec(xs)
+    gap_plus = k4_min_input_divergence(xs) - k4_quadratic_bound(xs)
     i = int(np.argmin(gap_plus))
     margins["dmin_minus_dplus_min"] = float(gap_plus[i])
     if gap_plus[i] < -tol:
         raise CertificateError("d_min_vs_d_plus", float(xs[i]), "quadratic bound violated")
 
     xs_lo = np.append(np.linspace(0.0, w_bar, grid_points, endpoint=False), w_bar)
-    gap_minus = _dmin_vec(xs_lo) - _dminus_vec(xs_lo)
+    gap_minus = k4_min_input_divergence(xs_lo) - k4_logsum_bound(xs_lo)
     i = int(np.argmin(gap_minus))
     margins["dmin_minus_dminus_min"] = float(gap_minus[i])
     if gap_minus[i] < -tol:
@@ -405,7 +429,7 @@ def certify_k4_contraction(grid_points: int = 20001, root_tol: float = 1e-12) ->
 
     xs_hi = np.linspace(w_bar, 0.5, grid_points)
     with np.errstate(divide="ignore", invalid="ignore"):
-        r_plus = _d2_vec(xs_hi) / _dplus_vec(xs_hi)
+        r_plus = k4_output_divergence(xs_hi) / k4_quadratic_bound(xs_hi)
     r_plus[-1] = 1.0 / 3.0
     steps = np.diff(r_plus)
     i = int(np.argmax(steps))
@@ -414,7 +438,7 @@ def certify_k4_contraction(grid_points: int = 20001, root_tol: float = 1e-12) ->
         raise CertificateError("r_plus_monotone", float(xs_hi[i]), "upper ratio increased")
 
     xs_f = np.linspace(0.0, _W_PLUS, grid_points)
-    f = _d2_vec(xs_f) - d_star * _dminus_vec(xs_f)
+    f = k4_output_divergence(xs_f) - d_star * k4_logsum_bound(xs_f)
     margins["f_at_origin"] = float(f[0])
     if abs(f[0]) > 1e-9:
         raise CertificateError("root_at_origin", 0.0, "comparison curve not zero at the origin")
@@ -432,9 +456,7 @@ def certify_k4_contraction(grid_points: int = 20001, root_tol: float = 1e-12) ->
     )
     margins["f_at_w_bar"] = float(k4_output_divergence(w_bar) - d_star * k4_logsum_bound(w_bar))
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r_max = _d2_vec(xs) / _dmin_vec(xs)
-    r_max[xs == 0.5] = 1.0 / 3.0
+    r_max = k4_ratio_envelope(xs)
     i = int(np.argmax(r_max))
     max_ratio = float(r_max[i])
     margins["grid_max_headroom"] = d_star + 1e-6 - max_ratio
@@ -447,7 +469,7 @@ def certify_k4_contraction(grid_points: int = 20001, root_tol: float = 1e-12) ->
         grid_resolution=grid_points,
         max_ratio_found=max_ratio,
         conjectured_d_star=d_star,
-        ratio_at_w_bar=float(_d2_vec(w_bar) / _dplus_vec(w_bar)),
+        ratio_at_w_bar=k4_output_divergence(w_bar) / k4_quadratic_bound(w_bar),
         margins=margins,
     )
 

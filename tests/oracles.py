@@ -7,7 +7,9 @@ smallest nontrivial family (k=4, d=2, n=4; 8! = 40320 configurations).
 The contraction grid and its refinement have one-point-at-a-time
 references: recursive composition tuples and a sequential hill climb.
 The sampler's reference is the scalar Fisher-Yates loop, one stream
-output and one rejection test at a time.
+output and one rejection test at a time.  A contraction coefficient is
+bracketed by two closed forms that share no code with its search: the
+chi-square coefficient below and the Dobrushin coefficient above.
 """
 
 from __future__ import annotations
@@ -126,6 +128,28 @@ def refine_sequential(p, value, evaluate, start_step: float, tol: float):
                     improved = True
         step *= 0.5
     return p, value
+
+
+def chi2_coefficient(matrix: np.ndarray, p_star: np.ndarray) -> float:
+    """rho^2: the squared second singular value of diag(q*)^-1/2 W diag(p*)^1/2.
+
+    It is the limit of the divergence ratio as p -> p*, so it bounds the
+    KL contraction coefficient from below.
+    """
+    q_star = matrix @ p_star
+    scaled = matrix * np.sqrt(p_star)[None, :] / np.sqrt(q_star)[:, None]
+    return float(np.linalg.svd(scaled, compute_uv=False)[1] ** 2)
+
+
+def dobrushin_coefficient(matrix: np.ndarray) -> float:
+    """eta_TV: the largest total-variation distance between two input columns.
+
+    It bounds the KL contraction coefficient from above for every p*.
+    """
+    return max(
+        0.5 * float(np.abs(matrix[:, i] - matrix[:, j]).sum())
+        for i, j in itertools.combinations(range(matrix.shape[1]), 2)
+    )
 
 
 def fisher_yates_reference(seed: int, n: int, outputs) -> np.ndarray:

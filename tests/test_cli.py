@@ -238,6 +238,17 @@ class TestErrorContract:
         assert run([subcommand, *target, "--grid-depth", "20", "--refine-tol", "0"]) == 2
         assert "need a finite refine_tol > 0, got 0.0" in capsys.readouterr().err
 
+    def test_oversized_wiring_entry_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text("n = 4\nd = 3\nk = 4\nr = 2\nm = 3\nwiring = [0, 1, 2, 99999999999999999999]\n")
+        assert run(["count", "--in", str(cfg)]) == 2
+        assert "line 6: wiring entries must fit in a signed 64-bit integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_root_tol_exits_2(self, capsys, tol):
+        assert run(["verify-k4", "--root-tol", tol]) == 2
+        assert f"need a finite tol > 0, got {tol}" in capsys.readouterr().err
+
     def test_import_leaves_scipy_out(self):
         code = "import sys, occuthresh.cli; sys.exit('scipy' in sys.modules)"
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}

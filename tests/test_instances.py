@@ -239,6 +239,13 @@ class TestSerialization:
             deserialize(text)
         assert err.value.line == 6
 
+    @pytest.mark.parametrize("entry", ["99999999999999999999", "-99999999999999999999"])
+    def test_out_of_range_wiring_entry(self, entry):
+        text = serialize(identity_config()).replace("[0, 1", f"[{entry}, 1")
+        with pytest.raises(ParseError, match="signed 64-bit") as err:
+            deserialize(text)
+        assert err.value.line == 6
+
     def test_family_mismatch_is_parameter_error(self):
         text = "n = 5\nd = 2\nk = 4\nr = 2\nm = 2\nwiring = [0]\n"
         with pytest.raises(ParameterError):

@@ -113,7 +113,7 @@ class TestPhi2:
 
     def test_domain_error(self):
         with pytest.raises(ParameterError):
-            OverlapPoint(0.2, 0.5)  # w2 > w1 in main parametrization
+            OverlapPoint(0.2, 0.5)  # w2 > w1
 
     def test_grid_minimum_nonnegative(self):
         """Vectorized 400x400 grid oracle: phi2 >= -1e-9, minimized at w*."""
@@ -137,30 +137,17 @@ class TestPhi2:
         assert abs(best[1][0] - w1s) < 0.01
         assert abs(best[1][1] - w2s) < 0.01
 
-    def test_parametrization_equivalence(self):
-        rng = np.random.default_rng(12)
-        count = 0
-        while count < 1000:
-            w1 = float(rng.uniform(0, 1))
-            w2 = float(rng.uniform(max(0.0, 2 * w1 - 1.0), w1))
-            w_count = OverlapPoint(w1, w2, "count")
-            w_cells = w_count.to_cells()
-            a = phi2(w_count, 4, 2)
-            b = phi2(w_cells, 4, 2)
-            assert abs(a - b) < 1e-12
-            count += 1
-
     def test_first_partials_vanish_at_reference(self):
-        """Central differences in both parametrizations, h = 1e-4."""
+        """Central differences along (w1, w2) and along the cell axes (w1, w1 - w2), h = 1e-4."""
         h = 1e-4
         k, d = 4, 2
         w1s, w2s = w_star(k)
         partials = []
-        for param, (c1, c2) in (
-            ("count", (w1s, w2s)),
-            ("cell", (w1s, w1s - w2s)),
+        for to_count, (c1, c2) in (
+            (lambda a, b: (a, b), (w1s, w2s)),
+            (lambda a, b: (a, a - b), (w1s, w1s - w2s)),
         ):
-            f = lambda a, b: phi2(OverlapPoint(a, b, param), k, d)  # noqa: E731
+            f = lambda a, b: phi2(OverlapPoint(*to_count(a, b)), k, d)  # noqa: E731
             partials.append((f(c1 + h, c2) - f(c1 - h, c2)) / (2 * h))
             partials.append((f(c1, c2 + h) - f(c1, c2 - h)) / (2 * h))
         for val in partials:

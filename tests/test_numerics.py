@@ -211,3 +211,8 @@ class TestFindRoot:
     def test_deterministic(self):
         f = lambda x: math.cos(x) - x  # noqa: E731
         assert find_root(f, 0.0, 1.0, 1e-13) == find_root(f, 0.0, 1.0, 1e-13)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_tol_must_be_finite_and_positive(self, tol):
+        with pytest.raises(ParameterError, match="need a finite tol > 0"):
+            find_root(lambda x: x - 0.25, 0.0, 1.0, tol)

@@ -19,15 +19,15 @@ from occuthresh.sdpi import (
     k4_input_divergence,
     k4_logsum_bound,
     k4_min_input_divergence,
-    k4_minimizing_w2,
     k4_output_divergence,
     k4_quadratic_bound,
     k4_ratio_envelope,
+    minimizing_w2,
     occupation_channel,
     occupation_contraction,
     parse_channel,
 )
-from tests.oracles import grid_reference, refine_sequential
+from tests.oracles import chi2_coefficient, dobrushin_coefficient, grid_reference, refine_sequential
 
 # Depth-2000 grid oracle for BSC(0.1) with uniform reference, pinned once.
 BSC_GOLDEN = 0.639999961600007
@@ -38,7 +38,7 @@ def random_count_points(count, seed):
     while count > 0:
         w1 = float(rng.uniform(0, 1))
         w2 = float(rng.uniform(max(0.0, 2 * w1 - 1.0), w1))
-        yield OverlapPoint(w1, w2, "count")
+        yield OverlapPoint(w1, w2)
         count -= 1
 
 
@@ -91,24 +91,6 @@ class TestOccupationChannel:
         assert abs(sigma[1] ** 2 - 1.0 / (k - 1)) <= 1e-15
 
 
-class TestParametrizations:
-    def test_kl_aggregation_invariance(self):
-        """2x2 cell divergences equal 3-outcome divergences on random points."""
-        for w in random_count_points(1000, seed=99):
-            wa = w.to_cells()
-            assert abs(input_kl(w, 4) - input_kl(wa, 4)) < 1e-12
-            assert abs(output_kl(w, 4) - output_kl(wa, 4)) < 1e-12
-
-    def test_conversion_bijection_on_grid(self):
-        for w1 in np.linspace(0, 1, 41):
-            for w2 in np.linspace(0, min(w1, 1 - w1), 23):
-                wa = OverlapPoint(float(w1), float(w2), "cell")
-                wm = wa.to_count()
-                assert 2 * wm.w1 - 1 - 1e-12 <= wm.w2 <= wm.w1 + 1e-12
-                back = wm.to_cells()
-                assert math.isclose(back.w2, wa.w2, abs_tol=1e-12)
-
-
 class TestDivergenceRatio:
     def test_corner_analytic_value(self):
         for k in range(4, 9):
@@ -136,7 +118,7 @@ class TestDivergenceRatio:
         )
         bound_ratio = k4_output_divergence(w_bar) / k4_quadratic_bound(w_bar)
         assert abs(bound_ratio - 0.380) <= 1e-3
-        w = OverlapPoint(w_bar, k4_minimizing_w2(w_bar), "cell")
+        w = OverlapPoint(w_bar, w_bar - minimizing_w2(4, w_bar))
         true_ratio = divergence_ratio(w, 4)
         assert true_ratio <= bound_ratio
         assert math.isclose(true_ratio, k4_ratio_envelope(w_bar), rel_tol=1e-10)
@@ -183,7 +165,7 @@ class TestContractionCoefficient:
         assert abs(float(argmax.weights[0]) - 0.5) < 0.05  # supremum approached at p*
 
     def test_dpi_sanity_random_channels(self):
-        """Coefficients of random channels with interior references lie in [0, 1]."""
+        """Coefficients of random channels lie between their chi-square and Dobrushin bounds."""
         rng = np.random.default_rng(1234)
         for trial in range(100):
             n_in = int(rng.integers(2, 4))
@@ -193,7 +175,8 @@ class TestContractionCoefficient:
             value, _ = contraction_coefficient(
                 Pmf(p_star), Channel(matrix), grid_depth=40, refine_tol=1e-8
             )
-            assert 0.0 <= value <= 1.0 + 1e-9, trial
+            lo, hi = chi2_coefficient(matrix, p_star), dobrushin_coefficient(matrix)
+            assert lo * (1 - 1e-9) <= value <= hi * (1 + 1e-9), trial
 
     def test_grid_depth_validated(self):
         with pytest.raises(ParameterError):
@@ -352,10 +335,68 @@ class TestOccupationContraction:
             assert res.sup >= res.conjectured - 1e-9
             assert res.sup >= 1.0 / (k - 1)  # the chi-square coefficient bounds eta_KL below
 
+    @pytest.mark.parametrize("depth", [60, 120, 200])
+    @pytest.mark.parametrize("k", range(4, 11))
+    def test_matches_simplex_search(self, k, depth):
+        """The search over w1 alone gives the bits of the full 3-simplex search."""
+        occ = occupation_channel(k)
+        res = occupation_contraction(k, grid_depth=depth)
+        sup, argpmf = contraction_coefficient(occ.p_star, occ.channel, grid_depth=depth)
+        p = argpmf.weights
+        assert res.sup.hex() == sup.hex()
+        assert res.argmax == OverlapPoint(float(p[1] / 2.0 + p[2]), float(p[2]))
+
+    def test_ties_keep_largest_w1(self, monkeypatch):
+        """Equal scores keep w1 = 1, as the simplex grid keeps its first point (0, 0, 1)."""
+        monkeypatch.setattr(sdpi, "_ratio_rows", lambda ps, *args: np.ones(len(ps)))
+        res = occupation_contraction(5, grid_depth=20)
+        assert (res.argmax.w1, res.argmax.w2) == (1.0, 1.0)
+
+    @pytest.mark.parametrize("depth, tol", [(1, 1e-10), (20, 0.0), (20, math.nan)])
+    def test_search_parameters_validated(self, depth, tol):
+        with pytest.raises(ParameterError, match="grid_depth|refine_tol"):
+            occupation_contraction(5, grid_depth=depth, refine_tol=tol)
+
+
+class TestMinimizer:
+    @pytest.mark.parametrize("k", range(4, 11))
+    def test_stationarity(self, k):
+        """p00 p11 = 4c p01^2 with c = (k-3)/(8(k-2)) at the minimizing cell w2 = p01."""
+        c = (k - 3) / (8 * (k - 2))
+        for w1 in np.linspace(0.0, 1.0, 201):
+            p01 = minimizing_w2(k, float(w1))
+            p11, p00 = w1 - p01, 1.0 - w1 - p01
+            assert 0.0 <= p01 <= min(w1, 1.0 - w1) + 1e-15
+            assert abs(p00 * p11 - 4 * c * p01 * p01) <= 1e-12, w1
+
+    @pytest.mark.parametrize("k", range(4, 11))
+    def test_matches_brute_force_scan(self, k):
+        """A 401-point scan of input_kl over the count w2 brackets the minimizer."""
+        for w1 in (0.03, 0.2, 0.5, 0.71, 0.96):
+            lo, hi = max(0.0, 2 * w1 - 1.0), w1
+            scan = np.linspace(lo, hi, 401)
+            values = [input_kl(OverlapPoint(w1, float(w2)), k) for w2 in scan]
+            i = int(np.argmin(values))
+            best = w1 - minimizing_w2(k, w1)  # the count w2 of the minimizer
+            assert abs(best - scan[i]) <= scan[1] - scan[0]
+            assert input_kl(OverlapPoint(w1, best), k) <= values[i] + 1e-15
+
+    @pytest.mark.parametrize("k", range(4, 11))
+    def test_cells_agree_with_minimizing_w2(self, k):
+        w1 = np.linspace(0.0, 1.0, 101)
+        p11, p00 = sdpi._minimizing_cells(k, w1)
+        p01 = minimizing_w2(k, w1)
+        np.testing.assert_allclose(p11, w1 - p01, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(p00, 1.0 - w1 - p01, rtol=0, atol=1e-15)
+
+    def test_small_k_rejected(self):
+        with pytest.raises(ParameterError):
+            minimizing_w2(3, 0.5)
+
 
 class TestK4Curves:
     def test_minimizer_at_center(self):
-        assert math.isclose(k4_minimizing_w2(0.5), 1.0 / 3.0, rel_tol=1e-14)
+        assert math.isclose(minimizing_w2(4, 0.5), 1.0 / 3.0, rel_tol=1e-14)
 
     def test_logsum_bound_origin(self):
         assert math.isclose(k4_logsum_bound(0.0), math.log(6), rel_tol=1e-14)
@@ -376,7 +417,7 @@ class TestK4Curves:
         """Finite differences of the input divergence vanish at the inner minimizer."""
         h = 1e-7
         for w1 in np.linspace(0.05, 0.95, 100):
-            w2 = k4_minimizing_w2(float(w1))
+            w2 = minimizing_w2(4, float(w1))
             deriv = (
                 k4_input_divergence(float(w1), w2 + h)
                 - k4_input_divergence(float(w1), w2 - h)
@@ -385,7 +426,7 @@ class TestK4Curves:
 
     def test_min_divergence_consistent_with_input(self):
         for w1 in np.linspace(0.02, 0.98, 25):
-            direct = k4_input_divergence(float(w1), k4_minimizing_w2(float(w1)))
+            direct = k4_input_divergence(float(w1), minimizing_w2(4, float(w1)))
             assert math.isclose(
                 k4_min_input_divergence(float(w1)), direct, rel_tol=1e-9, abs_tol=1e-12
             )
@@ -403,7 +444,7 @@ class TestK4Curves:
     def test_envelope_agrees_with_divergence_ratio(self):
         """Curve route equals the generic ratio at the minimizing w2."""
         for w1 in (0.1, 0.25, 0.4, 0.75):
-            w = OverlapPoint(w1, k4_minimizing_w2(w1), "cell")
+            w = OverlapPoint(w1, w1 - minimizing_w2(4, w1))
             assert math.isclose(
                 k4_ratio_envelope(w1), divergence_ratio(w, 4), rel_tol=1e-10
             )
@@ -413,6 +454,38 @@ class TestK4Curves:
             k4_output_divergence(1.2)
         with pytest.raises(ParameterError):
             k4_logsum_bound(0.45)
+
+    @pytest.mark.parametrize("w1, w2", [(-0.1, 0.0), (1.1, 0.0), (0.3, -0.01), (0.3, 0.31), (0.7, 0.31)])
+    def test_input_divergence_domain(self, w1, w2):
+        with pytest.raises(ParameterError, match="input divergence"):
+            k4_input_divergence(w1, w2)
+
+    def test_cell_curves_match_count_divergences(self):
+        """The cell point (w1, w1 - w2) gives the count point's divergences."""
+        for w in random_count_points(1000, seed=99):
+            assert abs(k4_input_divergence(w.w1, w.w1 - w.w2) - input_kl(w, 4)) < 1e-12
+            assert abs(k4_output_divergence(w.w1) - output_kl(w, 4)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "curve, hi",
+        [
+            (k4_output_divergence, 1.0),
+            (k4_min_input_divergence, 1.0),
+            (k4_quadratic_bound, 1.0),
+            (k4_logsum_bound, 5 / 12),
+            (k4_ratio_envelope, 1.0),
+            (lambda w1: minimizing_w2(4, w1), 1.0),
+        ],
+    )
+    def test_scalar_and_array_agree(self, curve, hi):
+        """A scalar gives a Python float, an array an array, with the same bits."""
+        xs = np.linspace(0.0, hi, 201)
+        values = curve(xs)
+        assert isinstance(values, np.ndarray) and values.shape == xs.shape
+        for x, v in zip(xs, values):
+            got = curve(float(x))
+            assert type(got) is float
+            assert got.hex() == float(v).hex(), x
 
 
 class TestCertificate:
