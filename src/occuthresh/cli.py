@@ -231,7 +231,9 @@ def _run_moments(args, manifest: RunManifest) -> list[str]:
         ln_ratio_asym = float("nan")
     if args.exact:
         ln_ez = first_moment_exact(params).value
-        ln_ratio = second_moment_exact_ratio(params).value
+        ratio = second_moment_exact_ratio(params)
+        # A fractional ones quota 2n/k makes E[Z] = 0, and E[Z^2]/E[Z]^2 is 0/0.
+        ln_ratio = float("nan") if ratio.is_zero else ratio.value
         ln_ezxl = joint_moment_exact(params, args.l).value
     else:
         ln_ez = ln_ratio = ln_ezxl = float("nan")

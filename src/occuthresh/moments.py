@@ -74,7 +74,7 @@ def input_count_pmf(w: OverlapPoint) -> np.ndarray:
 def output_count_pmf(w1: float, k: int) -> np.ndarray:
     """3-outcome pmf of (X_i + Y_i); depends on w only through w1."""
     ws = 2.0 / k
-    return _clamped([1.0 - 2.0 * ws + ws * w1, 2.0 * ws * (1.0 - w1), ws * w1])
+    return _clamped([1.0 - ws * (2.0 - w1), 2.0 * ws * (1.0 - w1), ws * w1])
 
 
 def input_kl(w: OverlapPoint, k: int) -> float:
@@ -112,7 +112,8 @@ class ThresholdReport:
 
 def threshold_f(k: int, d: float) -> float:
     """Fixed-point function whose unit value characterizes the threshold degree."""
-    log_base = (k - 1) * math.log(k) - math.log(2.0) - (k - 2) * math.log(k - 2) - math.log(k - 1)
+    # (k-1) ln k - ln 2 - (k-2) ln(k-2) - ln(k-1), without its k ln k terms cancelling.
+    log_base = -(k - 2) * math.log1p(-2.0 / k) + math.log(k / (2.0 * (k - 1)))
     return math.exp(math.log(2.0 / (k * (k - 1))) + (d - 1.0) * log_base)
 
 

@@ -1,19 +1,22 @@
 """KL contraction coefficients and the complete k = 4 certificate.
 
 The generic coefficient sup KL(Wp || Wp*) / KL(p || p*) is estimated by
-a dense simplex grid followed by local simplex-move refinement; both
-stages are deterministic (grid points enumerate in lexicographic
-composition order, ties keep the first winner, refinement accepts only
-strict improvements).  The grid is streamed in numpy blocks of about
-2^15 points, so memory does not grow with the grid, and each refine
-step evaluates its simplex moves in one batch.
+one search, ``_search``: it scores blocks of candidate pmfs, keeps the
+first best (a later candidate wins only by a strictly larger ratio) and
+refines the winner by simplex moves, accepting strict improvements
+only.  For a generic channel the candidates are a dense simplex grid in
+lexicographic composition order, streamed in numpy blocks of about 2^15
+points so memory does not grow with the grid; each refine step
+evaluates its simplex moves in one batch.
 
-The occupation family is the 3x3 channel whose inputs measure solution
-overlap.  Its output depends on the overlap only through w1, so its
-supremum is a search over w1 alone: at each w1 the ratio is scored at
-the input pmf of least divergence, which ``_minimizing_cells`` gives in
-closed form for every k.  The conjectured supremum sits at the
-degenerate corner w1 = 1.
+The occupation channel maps the shared-ones count of a constraint to
+its output count; its columns are ``moments.output_count_pmf`` at
+w1 = 0, 1/2 and 1.  The output depends on the overlap only through w1,
+so the supremum is a search over w1 alone: at each w1 the candidate is
+the overlap point of least input divergence, whose w2 (the fraction
+p11 of constraints sharing both ones, as in ``OverlapPoint``) is
+``minimizing_w2`` in closed form for every k.  The conjectured supremum
+sits at the degenerate corner w1 = 1.
 
 The k = 4 functions certify, at grid resolution, that the conjectured
 corner value really is the supremum.  All bound curves are closed
@@ -35,6 +38,7 @@ from .moments import (
     OverlapPoint,
     input_kl,
     input_pmf_star,
+    output_count_pmf,
     output_kl,
     w_star,
 )
@@ -43,31 +47,17 @@ from .numerics import Channel, Pmf, binary_entropy, find_root, kl_divergence_row
 _EXCLUSION_TV = 1e-9
 
 
-@dataclass(frozen=True)
-class OccupationChannel:
-    """The fixed 3x3 overlap channel for a given k, with its reference pmfs."""
+def occupation_channel(k: int) -> tuple[Pmf, Channel]:
+    """The 3x3 overlap channel for k and its reference input pmf p(w*).
 
-    k: int
-    channel: Channel
-    p_star: Pmf
-    q_star: Pmf
-
-
-def occupation_channel(k: int) -> OccupationChannel:
-    """Column-stochastic channel mapping the input overlap pmf to the output one."""
+    Input x (the shared-ones count in a constraint) is the overlap with
+    w1 = x/2, and the output pmf is linear in w1, so column x is
+    ``output_count_pmf(x/2, k)``.
+    """
     if k < 4:
         raise ParameterError(f"occupation channel needs k >= 4, got {k}")
-    ws = 2.0 / k
-    matrix = np.array(
-        [
-            [1.0 - 2.0 * ws, 1.0 - 1.5 * ws, 1.0 - ws],
-            [2.0 * ws, ws, 0.0],
-            [0.0, 0.5 * ws, ws],
-        ]
-    )
-    channel = Channel(matrix)
-    p_star = Pmf(input_pmf_star(k))
-    return OccupationChannel(k=k, channel=channel, p_star=p_star, q_star=channel.apply(p_star))
+    columns = [output_count_pmf(w1, k) for w1 in (0.0, 0.5, 1.0)]
+    return Pmf(input_pmf_star(k)), Channel(np.column_stack(columns))
 
 
 def conjectured_contraction(k: int) -> float:
@@ -176,6 +166,29 @@ def _check_search(grid_depth: int, refine_tol: float):
         raise ParameterError(f"need a finite refine_tol > 0, got {refine_tol}")
 
 
+def _search(blocks, p_star: Pmf, channel: Channel, grid_depth: int, refine_tol: float):
+    """Score candidate pmf rows, keep the first best, refine it: (pmf, ratio).
+
+    ``blocks`` yields arrays of rows in search order; a later row wins
+    only with a strictly larger ratio.  np.argmax returns the first NaN,
+    so a NaN or +inf block winner fails as a winner of all rows would,
+    and so do rows that are all excluded (-inf).
+    """
+    args = (channel.matrix, p_star.weights, channel.apply(p_star).weights)
+    best, argbest = -np.inf, None
+    for rows in blocks:
+        ratios = _ratio_rows(rows, *args)
+        i = int(np.argmax(ratios))
+        if not ratios[i] < np.inf:
+            best = np.nan
+            break
+        if ratios[i] > best:
+            best, argbest = float(ratios[i]), rows[i].copy()
+    if not np.isfinite(best):
+        raise ParameterError("no admissible grid point; reference pmf degenerate?")
+    return _refine_simplex(argbest, best, *args, start_step=1.0 / grid_depth, tol=refine_tol)
+
+
 def contraction_coefficient(
     p_star: Pmf,
     channel: Channel,
@@ -200,29 +213,8 @@ def contraction_coefficient(
     zeros = np.flatnonzero(p_star.weights == 0.0)
     if zeros.size:
         raise ParameterError(f"reference pmf needs full support, but p_star[{zeros[0]}] = 0")
-    q_star = channel.apply(p_star)
-    # np.argmax returns the first NaN, so a NaN or +inf block winner fails
-    # as a winner of the whole grid would, and so does a grid of -inf.
-    best, argbest = -np.inf, None
-    for grid in _grid_blocks(grid_depth, len(p_star)):
-        ratios = _ratio_rows(grid, channel.matrix, p_star.weights, q_star.weights)
-        i = int(np.argmax(ratios))
-        if not ratios[i] < np.inf:
-            best = np.nan
-            break
-        if ratios[i] > best:
-            best, argbest = float(ratios[i]), grid[i].copy()
-    if not np.isfinite(best):
-        raise ParameterError("no admissible grid point; reference pmf degenerate?")
-    p, value = _refine_simplex(
-        argbest,
-        best,
-        channel.matrix,
-        p_star.weights,
-        q_star.weights,
-        start_step=1.0 / grid_depth,
-        tol=refine_tol,
-    )
+    blocks = _grid_blocks(grid_depth, len(p_star))
+    p, value = _search(blocks, p_star, channel, grid_depth, refine_tol)
     return value, Pmf(p)
 
 
@@ -248,19 +240,12 @@ def occupation_contraction(
     w = (p1/2 + p2, p2).
     """
     _check_search(grid_depth, refine_tol)
-    occ = occupation_channel(k)
+    p_star, channel = occupation_channel(k)
     w1 = np.arange(grid_depth, -1, -1) / grid_depth
     p11, p00 = _minimizing_cells(k, w1)
     rows = np.column_stack([p00, 2.0 * (w1 - p11), p11])
     rows /= rows.sum(axis=1, keepdims=True)
-    args = (occ.channel.matrix, occ.p_star.weights, occ.q_star.weights)
-    ratios = _ratio_rows(rows, *args)
-    i = int(np.argmax(ratios))
-    if not np.isfinite(ratios[i]):
-        raise ParameterError("no admissible grid point; reference pmf degenerate?")
-    p, sup = _refine_simplex(
-        rows[i], float(ratios[i]), *args, start_step=1.0 / grid_depth, tol=refine_tol
-    )
+    p, sup = _search([rows], p_star, channel, grid_depth, refine_tol)
     arg = OverlapPoint(float(p[1] / 2.0 + p[2]), float(p[2]))
     conjectured = conjectured_contraction(k)
     if sup < conjectured - 1e-9:
@@ -299,50 +284,38 @@ def _like(w1, value):
     return float(value) if np.ndim(w1) == 0 else value
 
 
-def _minimizer_root(k: int, w1):
-    # a = (k-1)/(2(k-2)) and root = sqrt(16a (w1 - 1/2)^2 + 4(1-a)); at
-    # k = 4 every coefficient is exact (a = 3/4).
-    a = (k - 1.0) / (2.0 * (k - 2.0))
-    return a, np.sqrt(16.0 * a * (w1 - 0.5) ** 2 + 4.0 * (1.0 - a))
-
-
 def _minimizing_cells(k: int, w1):
     """Cells (p11, p00) of the input pmf minimizing its divergence at fixed w1.
 
     The minimum satisfies p00 p11 = 4c p01^2 with c = (k-3)/(8(k-2)),
     p01 = w1 - p11 and p00 = 1 - 2 w1 + p11; both cells are taken in
-    cancellation-free form.
+    cancellation-free form, with a = (k-1)/(2(k-2)) and
+    root = sqrt(16a (w1 - 1/2)^2 + 4(1-a)).  At k = 4 every coefficient
+    is exact (a = 3/4).
     """
-    a, root = _minimizer_root(k, w1)
+    a = (k - 1.0) / (2.0 * (k - 2.0))
+    root = np.sqrt(16.0 * a * (w1 - 0.5) ** 2 + 4.0 * (1.0 - a))
     p11 = 4.0 * (1.0 - a) * w1 * w1 / (root + 2.0 - 4.0 * a * w1)
     p00 = 4.0 * (1.0 - a) * (1.0 - w1) ** 2 / (root + 4.0 * a * w1 - (4.0 * a - 2.0))
     return p11, p00
 
 
 def minimizing_w2(k: int, w1):
-    """The cell w2 = p01 minimizing the input divergence at fixed w1: (2 - root) / (4a)."""
+    """The overlap w2 (= p11) minimizing the input divergence at fixed w1.
+
+    ``OverlapPoint(w1, minimizing_w2(k, w1))`` is the point of least
+    ``input_kl`` on the line of fixed w1.
+    """
     if k < 4:
         raise ParameterError(f"need k >= 4, got {k}")
     w1 = _check_unit(w1, "minimizing w2")
-    a, root = _minimizer_root(k, w1)
-    return _like(w1, (2.0 - root) / (4.0 * a))
+    return _like(w1, _minimizing_cells(k, w1)[0])
 
 
 def k4_output_divergence(w1):
     """KL of the output cells from their reference: w1 ln(2w1) + (1-w1) ln(2(1-w1))."""
     w1 = _check_unit(w1, "output divergence")
     return _like(w1, _xlny(w1, 2.0 * w1) + _xlny(1.0 - w1, 2.0 * (1.0 - w1)))
-
-
-def k4_input_divergence(w1: float, w2: float) -> float:
-    """KL of the input cells from their reference at the cell point (w1, w2 = p01)."""
-    if not (0.0 <= w1 <= 1.0 and 0.0 <= w2 <= min(w1, 1.0 - w1)):
-        raise ParameterError(
-            f"input divergence needs w1 in [0, 1] and 0 <= w2 <= min(w1, 1 - w1), got {(w1, w2)}"
-        )
-    p11 = w1 - w2
-    p00 = 1.0 - w1 - w2
-    return float(_xlny(p11, 6.0 * p11) + _xlny(2.0 * w2, 3.0 * w2) + _xlny(p00, 6.0 * p00))
 
 
 def k4_min_input_divergence(w1):
@@ -510,6 +483,8 @@ def parse_channel(text: str) -> tuple[Pmf, Channel]:
                 fields[key] = [float(tok) for tok in body.split(",")] if body else []
         except ValueError:
             raise ParseError(f"could not parse value for {key!r}", line=line) from None
+        if key in ("n_in", "n_out") and fields[key] < 1:
+            raise ParseError(f"{key} must be >= 1, got {fields[key]}", line=line)
     missing = [f for f in _CHANNEL_FIELDS if f not in fields]
     if missing:
         raise ParseError(f"missing fields {missing}", line=line + 1)

@@ -42,6 +42,10 @@ class TestThreshold:
         assert run(["threshold", "--k", "10"]) == 0
         assert "bounds_ok = true" in capsys.readouterr().out
 
+    def test_large_k_exits_0(self, capsys):
+        assert run(["threshold", "--k", "10000"]) == 0
+        assert "d_star = 14.566019072417221" in capsys.readouterr().out
+
 
 class TestSatprob:
     def test_csv_shape(self, tmp_path):
@@ -95,6 +99,13 @@ class TestMoments:
         out = capsys.readouterr().out
         assert "ln_EZ_exact = nan" in out
         assert "ln_EZ_asymptotic" in out
+
+    def test_fractional_quota_ratio_is_nan(self, capsys):
+        """E[Z] = 0 at a fractional ones quota, so E[Z^2]/E[Z]^2 is 0/0."""
+        assert run(["moments", "--k", "6", "--d", "3", "--n", "4", "--exact"]) == 0
+        out = capsys.readouterr().out
+        assert "ln_EZ_exact = -inf" in out
+        assert "ln_ratio_exact = nan" in out
 
 
 class TestSampleAndCount:
@@ -223,6 +234,12 @@ class TestErrorContract:
         channel.write_text("n_in = 2\nn_out = 2\nmatrix = [nan, 0.1, 0.2, 0.8]\np_star = [0.5, 0.5]\n")
         assert run(["sdpi", "--channel", str(channel)]) == 2
         assert "channel entries must be finite" in capsys.readouterr().err
+
+    def test_empty_channel_dimensions_exit_2(self, tmp_path, capsys):
+        channel = tmp_path / "channel.txt"
+        channel.write_text("n_in = 0\nn_out = -1\nmatrix = []\np_star = []\n")
+        assert run(["sdpi", "--channel", str(channel)]) == 2
+        assert "line 1: n_in must be >= 1, got 0" in capsys.readouterr().err
 
     def test_point_mass_reference_exits_2(self, tmp_path, capsys):
         channel = tmp_path / "channel.txt"

@@ -50,9 +50,10 @@ class TestThreshold:
             assert not rep.is_integer, k
 
     def test_fixed_point_consistency(self):
-        for k in range(5, 21):
+        # The large k are where the k ln k terms of threshold_f could cancel.
+        for k in [*range(5, 21), 3549, 10**4, 10**5]:
             rep = threshold_dstar(k)
-            assert abs(threshold_f(k, rep.d_star) - 1.0) <= 1e-10
+            assert abs(threshold_f(k, rep.d_star) - 1.0) <= 1e-10, k
 
     def test_small_k_rejected(self):
         with pytest.raises(ParameterError):
@@ -112,8 +113,10 @@ class TestPhi2:
                 )
 
     def test_domain_error(self):
-        with pytest.raises(ParameterError):
-            OverlapPoint(0.2, 0.5)  # w2 > w1
+        cases = [(0.2, 0.5), (-0.1, -0.1), (1.1, 1.1), (0.3, 0.31), (0.3, -0.01), (0.7, 0.39)]
+        for w1, w2 in cases:  # 2 w1 - 1 <= w2 <= w1 inside the unit square
+            with pytest.raises(ParameterError):
+                OverlapPoint(w1, w2)
 
     def test_grid_minimum_nonnegative(self):
         """Vectorized 400x400 grid oracle: phi2 >= -1e-9, minimized at w*."""

@@ -7,7 +7,15 @@ import pytest
 
 from occuthresh import sdpi
 from occuthresh.errors import CertificateError, ContractViolation, ParameterError, ParseError
-from occuthresh.moments import OverlapPoint, input_kl, input_count_pmf, output_kl, output_count_pmf, w_star
+from occuthresh.moments import (
+    OverlapPoint,
+    input_count_pmf,
+    input_kl,
+    input_pmf_star,
+    output_count_pmf,
+    output_kl,
+    w_star,
+)
 from occuthresh.numerics import Channel, Pmf, find_root
 from occuthresh.sdpi import (
     certify_k4_contraction,
@@ -16,7 +24,6 @@ from occuthresh.sdpi import (
     divergence_ratio,
     format_certificate,
     format_channel,
-    k4_input_divergence,
     k4_logsum_bound,
     k4_min_input_divergence,
     k4_output_divergence,
@@ -44,34 +51,36 @@ def random_count_points(count, seed):
 
 class TestOccupationChannel:
     def test_matrix_structure(self):
-        for k in range(4, 9):
-            occ = occupation_channel(k)
+        """The output_count_pmf columns give the bits of the literal matrix."""
+        for k in range(4, 2001):
+            p_star, channel = occupation_channel(k)
             ws = 2.0 / k
             expected = np.array(
                 [
-                    [1 - 2 * ws, 1 - 1.5 * ws, 1 - ws],
-                    [2 * ws, ws, 0.0],
+                    [1.0 - 2.0 * ws, 1.0 - 1.5 * ws, 1.0 - ws],
+                    [2.0 * ws, ws, 0.0],
                     [0.0, 0.5 * ws, ws],
                 ]
             )
-            np.testing.assert_allclose(occ.channel.matrix, expected, atol=1e-15)
-            np.testing.assert_allclose(occ.channel.matrix.sum(axis=0), 1.0, atol=1e-12)
+            assert channel.matrix.tobytes() == np.asfortranarray(expected).tobytes(), k
+            assert p_star.weights.tobytes() == input_pmf_star(k).tobytes(), k
+            np.testing.assert_allclose(channel.matrix.sum(axis=0), 1.0, atol=1e-12)
 
     def test_matrix_action_matches_closed_form(self):
         """q(w) = W p(w) reproduces the closed-form output pmf on random w."""
         for k in (4, 5, 7):
-            occ = occupation_channel(k)
+            _, channel = occupation_channel(k)
             worst = 0.0
             for w in random_count_points(1000, seed=k):
-                via_matrix = occ.channel.matrix @ input_count_pmf(w)
+                via_matrix = channel.matrix @ input_count_pmf(w)
                 closed = output_count_pmf(w.w1, k)
                 worst = max(worst, float(np.max(np.abs(via_matrix - closed))))
             assert worst < 1e-12
 
     def test_reference_outputs(self):
-        occ = occupation_channel(4)
+        p_star, channel = occupation_channel(4)
         np.testing.assert_allclose(
-            occ.q_star.weights, output_count_pmf(0.5, 4), atol=1e-15
+            channel.apply(p_star).weights, output_count_pmf(0.5, 4), atol=1e-15
         )
 
     def test_small_k_rejected(self):
@@ -81,11 +90,11 @@ class TestOccupationChannel:
     @pytest.mark.parametrize("k", range(4, 13))
     def test_chi2_coefficient_is_one_over_k_minus_1(self, k):
         """Second singular value^2 of diag(q*)^-1/2 W diag(p*)^1/2 equals 1/(k-1)."""
-        occ = occupation_channel(k)
+        p_star, channel = occupation_channel(k)
         scaled = (
-            occ.channel.matrix
-            * np.sqrt(occ.p_star.weights)[None, :]
-            / np.sqrt(occ.q_star.weights)[:, None]
+            channel.matrix
+            * np.sqrt(p_star.weights)[None, :]
+            / np.sqrt(channel.apply(p_star).weights)[:, None]
         )
         sigma = np.linalg.svd(scaled, compute_uv=False)
         assert abs(sigma[1] ** 2 - 1.0 / (k - 1)) <= 1e-15
@@ -118,7 +127,7 @@ class TestDivergenceRatio:
         )
         bound_ratio = k4_output_divergence(w_bar) / k4_quadratic_bound(w_bar)
         assert abs(bound_ratio - 0.380) <= 1e-3
-        w = OverlapPoint(w_bar, w_bar - minimizing_w2(4, w_bar))
+        w = OverlapPoint(w_bar, minimizing_w2(4, w_bar))
         true_ratio = divergence_ratio(w, 4)
         assert true_ratio <= bound_ratio
         assert math.isclose(true_ratio, k4_ratio_envelope(w_bar), rel_tol=1e-10)
@@ -339,9 +348,8 @@ class TestOccupationContraction:
     @pytest.mark.parametrize("k", range(4, 11))
     def test_matches_simplex_search(self, k, depth):
         """The search over w1 alone gives the bits of the full 3-simplex search."""
-        occ = occupation_channel(k)
         res = occupation_contraction(k, grid_depth=depth)
-        sup, argpmf = contraction_coefficient(occ.p_star, occ.channel, grid_depth=depth)
+        sup, argpmf = contraction_coefficient(*occupation_channel(k), grid_depth=depth)
         p = argpmf.weights
         assert res.sup.hex() == sup.hex()
         assert res.argmax == OverlapPoint(float(p[1] / 2.0 + p[2]), float(p[2]))
@@ -361,23 +369,23 @@ class TestOccupationContraction:
 class TestMinimizer:
     @pytest.mark.parametrize("k", range(4, 11))
     def test_stationarity(self, k):
-        """p00 p11 = 4c p01^2 with c = (k-3)/(8(k-2)) at the minimizing cell w2 = p01."""
+        """p00 p11 = 4c p01^2 with c = (k-3)/(8(k-2)) at the minimizing w2 = p11."""
         c = (k - 3) / (8 * (k - 2))
         for w1 in np.linspace(0.0, 1.0, 201):
-            p01 = minimizing_w2(k, float(w1))
-            p11, p00 = w1 - p01, 1.0 - w1 - p01
-            assert 0.0 <= p01 <= min(w1, 1.0 - w1) + 1e-15
+            p11 = minimizing_w2(k, float(w1))
+            p01, p00 = w1 - p11, 1.0 - 2.0 * w1 + p11
+            assert max(0.0, 2.0 * w1 - 1.0) - 1e-15 <= p11 <= w1
             assert abs(p00 * p11 - 4 * c * p01 * p01) <= 1e-12, w1
 
     @pytest.mark.parametrize("k", range(4, 11))
     def test_matches_brute_force_scan(self, k):
-        """A 401-point scan of input_kl over the count w2 brackets the minimizer."""
+        """A 401-point scan of input_kl over w2 brackets OverlapPoint(w1, minimizing_w2)."""
         for w1 in (0.03, 0.2, 0.5, 0.71, 0.96):
             lo, hi = max(0.0, 2 * w1 - 1.0), w1
             scan = np.linspace(lo, hi, 401)
             values = [input_kl(OverlapPoint(w1, float(w2)), k) for w2 in scan]
             i = int(np.argmin(values))
-            best = w1 - minimizing_w2(k, w1)  # the count w2 of the minimizer
+            best = minimizing_w2(k, w1)
             assert abs(best - scan[i]) <= scan[1] - scan[0]
             assert input_kl(OverlapPoint(w1, best), k) <= values[i] + 1e-15
 
@@ -385,9 +393,8 @@ class TestMinimizer:
     def test_cells_agree_with_minimizing_w2(self, k):
         w1 = np.linspace(0.0, 1.0, 101)
         p11, p00 = sdpi._minimizing_cells(k, w1)
-        p01 = minimizing_w2(k, w1)
-        np.testing.assert_allclose(p11, w1 - p01, rtol=0, atol=1e-15)
-        np.testing.assert_allclose(p00, 1.0 - w1 - p01, rtol=0, atol=1e-15)
+        assert minimizing_w2(k, w1).tobytes() == p11.tobytes()
+        np.testing.assert_allclose(p00, 1.0 - 2.0 * w1 + p11, rtol=0, atol=1e-15)
 
     def test_small_k_rejected(self):
         with pytest.raises(ParameterError):
@@ -396,7 +403,7 @@ class TestMinimizer:
 
 class TestK4Curves:
     def test_minimizer_at_center(self):
-        assert math.isclose(minimizing_w2(4, 0.5), 1.0 / 3.0, rel_tol=1e-14)
+        assert math.isclose(minimizing_w2(4, 0.5), 1.0 / 6.0, rel_tol=1e-14)
 
     def test_logsum_bound_origin(self):
         assert math.isclose(k4_logsum_bound(0.0), math.log(6), rel_tol=1e-14)
@@ -417,16 +424,16 @@ class TestK4Curves:
         """Finite differences of the input divergence vanish at the inner minimizer."""
         h = 1e-7
         for w1 in np.linspace(0.05, 0.95, 100):
-            w2 = minimizing_w2(4, float(w1))
+            w1 = float(w1)
+            w2 = minimizing_w2(4, w1)
             deriv = (
-                k4_input_divergence(float(w1), w2 + h)
-                - k4_input_divergence(float(w1), w2 - h)
+                input_kl(OverlapPoint(w1, w2 + h), 4) - input_kl(OverlapPoint(w1, w2 - h), 4)
             ) / (2 * h)
             assert abs(deriv) <= 1e-8
 
     def test_min_divergence_consistent_with_input(self):
         for w1 in np.linspace(0.02, 0.98, 25):
-            direct = k4_input_divergence(float(w1), minimizing_w2(4, float(w1)))
+            direct = input_kl(OverlapPoint(float(w1), minimizing_w2(4, float(w1))), 4)
             assert math.isclose(
                 k4_min_input_divergence(float(w1)), direct, rel_tol=1e-9, abs_tol=1e-12
             )
@@ -444,7 +451,7 @@ class TestK4Curves:
     def test_envelope_agrees_with_divergence_ratio(self):
         """Curve route equals the generic ratio at the minimizing w2."""
         for w1 in (0.1, 0.25, 0.4, 0.75):
-            w = OverlapPoint(w1, w1 - minimizing_w2(4, w1))
+            w = OverlapPoint(w1, minimizing_w2(4, w1))
             assert math.isclose(
                 k4_ratio_envelope(w1), divergence_ratio(w, 4), rel_tol=1e-10
             )
@@ -455,15 +462,10 @@ class TestK4Curves:
         with pytest.raises(ParameterError):
             k4_logsum_bound(0.45)
 
-    @pytest.mark.parametrize("w1, w2", [(-0.1, 0.0), (1.1, 0.0), (0.3, -0.01), (0.3, 0.31), (0.7, 0.31)])
-    def test_input_divergence_domain(self, w1, w2):
-        with pytest.raises(ParameterError, match="input divergence"):
-            k4_input_divergence(w1, w2)
-
     def test_cell_curves_match_count_divergences(self):
-        """The cell point (w1, w1 - w2) gives the count point's divergences."""
+        """The w1 curves give the output divergence and bound the input one from below."""
         for w in random_count_points(1000, seed=99):
-            assert abs(k4_input_divergence(w.w1, w.w1 - w.w2) - input_kl(w, 4)) < 1e-12
+            assert k4_min_input_divergence(w.w1) <= input_kl(w, 4) + 1e-12
             assert abs(k4_output_divergence(w.w1) - output_kl(w, 4)) < 1e-12
 
     @pytest.mark.parametrize(
@@ -537,8 +539,8 @@ class TestChannelFiles:
 
     def test_round_trip_keeps_occupation_bits(self):
         occ = occupation_channel(5)
-        p_star, channel = parse_channel(format_channel(occ.p_star, occ.channel))
-        value, argmax = contraction_coefficient(occ.p_star, occ.channel, grid_depth=60)
+        p_star, channel = parse_channel(format_channel(*occ))
+        value, argmax = contraction_coefficient(*occ, grid_depth=60)
         back, back_arg = contraction_coefficient(p_star, channel, grid_depth=60)
         assert back.hex() == value.hex()
         assert back_arg.weights.tobytes() == argmax.weights.tobytes()
@@ -550,6 +552,8 @@ class TestChannelFiles:
             parse_channel("n_out = 2\n")
         with pytest.raises(ParseError):
             parse_channel("n_in = 2\nn_out = two\n")
+        with pytest.raises(ParseError, match="line 2: n_out must be >= 1, got -1"):
+            parse_channel("n_in = 2\nn_out = -1\nmatrix = []\np_star = []\n")
 
     def test_comments_ignored(self):
         w = Channel(np.eye(2))
