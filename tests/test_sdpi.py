@@ -462,6 +462,12 @@ class TestK4Curves:
         with pytest.raises(ParameterError):
             k4_logsum_bound(0.45)
 
+    @pytest.mark.parametrize("w1, w2", [(-0.1, 0.0), (1.1, 0.0), (0.3, -0.01), (0.3, 0.31), (0.7, 0.31)])
+    def test_input_divergence_domain(self, w1, w2):
+        """Cell points (w1, p01) outside 0 <= p01 <= min(w1, 1 - w1) have no input divergence."""
+        with pytest.raises(ParameterError, match="overlap point"):
+            input_kl(OverlapPoint(w1, w1 - w2), 4)
+
     def test_cell_curves_match_count_divergences(self):
         """The w1 curves give the output divergence and bound the input one from below."""
         for w in random_count_points(1000, seed=99):
