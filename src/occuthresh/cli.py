@@ -201,6 +201,8 @@ def _run_satprob(args, manifest: RunManifest) -> list[str]:
 
 
 def _run_cycles(args, manifest: RunManifest) -> list[str]:
+    if args.samples < 2:  # poisson_gof needs two censuses; refuse before sampling
+        raise ParameterError(f"cycles needs --samples >= 2, got {args.samples}")
     threads = thread_count(args.threads)
     manifest.threads = threads
     censuses = census_samples(

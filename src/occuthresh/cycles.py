@@ -6,6 +6,12 @@ edges; lengths are counted in the factor-graph sense.  The census
 enumerates directed rooted cycles (rooted at a variable, with a
 direction) and divides by 2l, asserting exact divisibility first.
 
+The enumeration is breadth-wise: a frontier of partial walks, one numpy
+row each, steps through one constraint and one variable at a time.
+Frontiers are cut into pieces of a fixed number of rows, taken
+depth-first, so the frontier's peak memory depends on that cap and l_max
+but not on n.
+
 For l <= 2 a vectorized pair-count evaluates the same quantities from
 edge multiplicities; it is property-tested against the walk enumeration
 and used by the Monte Carlo driver, where censuses of many samples run
@@ -38,48 +44,62 @@ class CycleCensus:
         return self.counts[l - 1]
 
 
+# Largest frontier piece the walk expands at once.  Pieces go depth-first,
+# so the frontier's peak memory is set by this cap and l_max, not by n.
+_FRONTIER_ROWS = 2048
+
+
 def _census_walk(cfg: Configuration, l_max: int) -> tuple:
     p = cfg.params
     d, k = p.d, p.k
-    to_con = (cfg.wiring // k).tolist()
-    inv = cfg.inverse_wiring()
-    con_members = inv.reshape(p.m, k).tolist()
+    to_con = cfg.wiring // k
+    members = cfg.inverse_wiring().reshape(p.m, k)
+    offsets = np.arange(d)
     directed = [0] * (l_max + 1)
-    var_seen = bytearray(p.n)
-    con_seen = bytearray(p.m)
 
-    def walk(root: int, a: int, s_in: int, depth: int):
-        for s_out in con_members[a]:
-            if s_out == s_in:
-                continue
-            v = s_out // d
-            if v == root:
-                directed[depth] += 1
-                continue
-            if depth == l_max or var_seen[v]:
-                continue
-            var_seen[v] = 1
-            base = v * d
-            for s2 in range(base, base + d):
-                if s2 == s_out:
-                    continue
-                a2 = to_con[s2]
-                if con_seen[a2]:
-                    continue
-                con_seen[a2] = 1
-                walk(root, a2, s2, depth + 1)
-                con_seen[a2] = 0
-            var_seen[v] = 0
+    def walk(depth: int, seen_vars: np.ndarray, seen_cons: np.ndarray, s_in: np.ndarray):
+        # Row i: a walk from the root seen_vars[i, 0] through the variables
+        # seen_vars[i] and the constraints seen_cons[i], the last of which
+        # it entered by slot s_in[i].  At depth l_max only the root and the
+        # current constraint are kept.
+        if s_in.size > _FRONTIER_ROWS:
+            for lo in range(0, s_in.size, _FRONTIER_ROWS):
+                hi = lo + _FRONTIER_ROWS
+                walk(depth, seen_vars[lo:hi], seen_cons[lo:hi], s_in[lo:hi])
+            return
+        # Leave the current constraint by any slot but the entering one;
+        # a slot of the root closes a 2*depth-cycle.
+        s_out = members[seen_cons[:, -1]]
+        v = s_out // d
+        keep = s_out != s_in[:, None]
+        directed[depth] += int(np.count_nonzero(keep & (v == seen_vars[:, :1])))
+        if depth == l_max:
+            return
+        # Go on to unvisited variables, then into unvisited constraints
+        # through the variable's other slots.
+        for j in range(seen_vars.shape[1]):
+            keep &= v != seen_vars[:, j : j + 1]
+        rows, cols = np.nonzero(keep)
+        s_out, v, cons = s_out[rows, cols], v[rows, cols], seen_cons[rows]
+        s_next = v[:, None] * d + offsets
+        a_next = to_con[s_next]
+        keep = s_next != s_out[:, None]
+        for j in range(cons.shape[1]):
+            keep &= a_next != cons[:, j : j + 1]
+        r, c = np.nonzero(keep)
+        s_next, a_next = s_next[r, c], a_next[r, c]
+        if depth + 1 == l_max:
+            walk(depth + 1, seen_vars[rows[r], :1], a_next[:, None], s_next)
+        else:
+            walk(
+                depth + 1,
+                np.column_stack([seen_vars[rows[r]], v[r]]),
+                np.column_stack([cons[r], a_next]),
+                s_next,
+            )
 
-    for root in range(p.n):
-        var_seen[root] = 1
-        base = root * d
-        for s in range(base, base + d):
-            a = to_con[s]
-            con_seen[a] = 1
-            walk(root, a, s, 1)
-            con_seen[a] = 0
-        var_seen[root] = 0
+    slots = np.arange(p.n_slots)
+    walk(1, (slots // d)[:, None], to_con[:, None], slots)
 
     counts = []
     for l in range(1, l_max + 1):
@@ -119,7 +139,8 @@ def _census_pairs(cfg: Configuration, l_max: int) -> tuple:
 def count_cycles(cfg: Configuration, l_max: int) -> CycleCensus:
     """Census of 2l-cycles for l = 1 .. l_max.
 
-    Multiplicity counting for l_max <= 2, directed-walk enumeration above.
+    Multiplicity counting for l_max <= 2, above that a breadth-wise
+    enumeration of directed rooted walks over a numpy frontier.
     """
     if l_max < 1:
         raise ParameterError(f"need l_max >= 1, got {l_max}")

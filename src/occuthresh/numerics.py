@@ -138,7 +138,7 @@ def binary_entropy(p: float) -> float:
     if p > 0.0:
         out -= p * math.log(p)
     if p < 1.0:
-        out -= (1.0 - p) * math.log(1.0 - p)
+        out -= (1.0 - p) * math.log1p(-p)
     return out
 
 

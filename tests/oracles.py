@@ -7,9 +7,11 @@ smallest nontrivial family (k=4, d=2, n=4; 8! = 40320 configurations).
 The contraction grid and its refinement have one-point-at-a-time
 references: recursive composition tuples and a sequential hill climb.
 The sampler's reference is the scalar Fisher-Yates loop, one stream
-output and one rejection test at a time.  A contraction coefficient is
-bracketed by two closed forms that share no code with its search: the
-chi-square coefficient below and the Dobrushin coefficient above.
+output and one rejection test at a time, and the cycle census's is a
+recursive walk, one Python call per visited variable.  A contraction
+coefficient is bracketed by two closed forms that share no code with its
+search: the chi-square coefficient below and the Dobrushin coefficient
+above.
 """
 
 from __future__ import annotations
@@ -181,3 +183,57 @@ def fisher_yates_reference(seed: int, n: int, outputs) -> np.ndarray:
         j = randbelow(i + 1)
         arr[i], arr[j] = arr[j], arr[i]
     return np.asarray(arr, dtype=np.int64)
+
+
+def census_walk_reference(cfg: Configuration, l_max: int) -> tuple:
+    """Cycle counts for l = 1 .. l_max by a recursive depth-first walk.
+
+    Every directed rooted walk (rooted at a variable, with a direction)
+    that returns to its root through distinct variables, constraints and
+    wiring edges is counted once per step, then each count is divided by
+    2l, which must divide it exactly.
+    """
+    p = cfg.params
+    d, k = p.d, p.k
+    to_con = (cfg.wiring // k).tolist()
+    con_members = cfg.inverse_wiring().reshape(p.m, k).tolist()
+    directed = [0] * (l_max + 1)
+    var_seen = bytearray(p.n)
+    con_seen = bytearray(p.m)
+
+    def walk(root: int, a: int, s_in: int, depth: int):
+        for s_out in con_members[a]:
+            if s_out == s_in:
+                continue
+            v = s_out // d
+            if v == root:
+                directed[depth] += 1
+                continue
+            if depth == l_max or var_seen[v]:
+                continue
+            var_seen[v] = 1
+            base = v * d
+            for s2 in range(base, base + d):
+                if s2 == s_out:
+                    continue
+                a2 = to_con[s2]
+                if con_seen[a2]:
+                    continue
+                con_seen[a2] = 1
+                walk(root, a2, s2, depth + 1)
+                con_seen[a2] = 0
+            var_seen[v] = 0
+
+    for root in range(p.n):
+        var_seen[root] = 1
+        base = root * d
+        for s in range(base, base + d):
+            a = to_con[s]
+            con_seen[a] = 1
+            walk(root, a, s, 1)
+            con_seen[a] = 0
+        var_seen[root] = 0
+
+    for l in range(1, l_max + 1):
+        assert directed[l] % (2 * l) == 0, f"directed {2 * l}-cycle count {directed[l]}"
+    return tuple(directed[l] // (2 * l) for l in range(1, l_max + 1))

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from occuthresh import cli
+from occuthresh import cli, cycles
 from occuthresh.errors import CertificateError
 from occuthresh.numerics import Channel, Pmf
 from occuthresh.sdpi import format_channel
@@ -44,7 +44,11 @@ class TestThreshold:
 
     def test_large_k_exits_0(self, capsys):
         assert run(["threshold", "--k", "10000"]) == 0
-        assert "d_star = 14.566019072417221" in capsys.readouterr().out
+        assert "d_star = 14.566019072414935" in capsys.readouterr().out  # 50 digits: ...414967
+
+    def test_very_large_k_exits_0(self, capsys):
+        assert run(["threshold", "--k", "1000000000"]) == 0
+        assert "bounds_ok = true" in capsys.readouterr().out
 
 
 class TestSatprob:
@@ -85,6 +89,15 @@ class TestCycles:
         assert lines[0] == "l,empirical_mean,lambda,z_score,empirical_var,chi2,dof"
         assert len(lines) == 3
         assert data_section(a) == data_section(b)
+
+    def test_single_sample_exits_2_before_sampling(self, monkeypatch, capsys):
+        def unexpected(*args, **kwargs):
+            raise AssertionError("a configuration was sampled")
+
+        monkeypatch.setattr(cycles, "sample_configuration", unexpected)
+        assert run(["cycles", "--k", "4", "--d", "3", "--n", "400", "--samples", "1",
+                    "--seed", "3", "--l-max", "4", "--threads", "1"]) == 2
+        assert "--samples >= 2" in capsys.readouterr().err
 
 
 class TestMoments:

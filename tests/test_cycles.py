@@ -1,6 +1,7 @@
 """Cycle censuses and the Poisson-limit constants."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from occuthresh.cycles import (
     pair_correlation,
     poisson_gof,
 )
+from tests.oracles import census_walk_reference
 
 
 def identity_config() -> Configuration:
@@ -55,6 +57,31 @@ class TestCensus:
             for t in range(4):
                 cfg = sample_configuration(Params(n=n, d=d, k=k, r=1), child_seed(120 + i, t))
                 assert cycles._census_walk(cfg, 2) == cycles._census_pairs(cfg, 2)
+
+    @pytest.mark.parametrize(
+        "n,d,k,seeds",
+        [(400, 3, 4, 2), (12, 2, 4, 4), (30, 3, 6, 2), (20, 4, 4, 4), (40, 5, 4, 2),
+         (60, 3, 3, 4), (8, 2, 2, 4)],
+    )
+    def test_walk_matches_recursive_reference(self, n, d, k, seeds):
+        # The small families are full of parallel edges and repeated constraints.
+        # The reference's count at l does not depend on its l_max.
+        for t in range(seeds):
+            cfg = sample_configuration(Params(n=n, d=d, k=k, r=1), child_seed(n * d + k, t))
+            want = census_walk_reference(cfg, 5)
+            for l_max in range(1, 6):
+                assert cycles._census_walk(cfg, l_max) == want[:l_max], (t, l_max)
+
+    def test_walk_memory_is_bounded(self):
+        # An unchunked frontier allocates about 330 MB here.
+        cfg = sample_configuration(Params(n=400, d=3, k=4, r=2), child_seed(61, 0))
+        tracemalloc.start()
+        try:
+            count_cycles(cfg, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_l_max_validated(self):
         with pytest.raises(ParameterError):

@@ -3,6 +3,8 @@
 The ``satprob`` and ``count`` lines were recorded with the fixed-weight
 enumeration solver that preceded the propagation search; decisions and
 counts are exact, so a change of solver must leave them byte-identical.
+Likewise the ``cycles --l-max 4`` section was recorded with the recursive
+walk that preceded the frontier enumeration of the census.
 The other sections were recorded before the KL kernels, the document
 readers and the log-factorial table were each collapsed to one copy.
 Every line must stay byte-identical, except ``ln_ratio_exact``: it is a
@@ -66,6 +68,14 @@ CYCLES_K4_D3_N60_SEED3 = [
     "l,empirical_mean,lambda,z_score,empirical_var,chi2,dof",
     "1,3.15,3.0,0.5477225575051659,2.079487179487179,1.8318905844247773,4",
     "2,9.3,9.0,0.6324555320336774,9.13846153846154,8.64829130789513,4",
+]
+
+CYCLES_K4_D3_N400_SEED3_L4 = [
+    "l,empirical_mean,lambda,z_score,empirical_var,chi2,dof",
+    "1,3.75,3.0,0.8660254037844387,2.9166666666666665,0.0,1",
+    "2,11.0,9.0,1.3333333333333333,14.0,0.0,1",
+    "3,36.75,36.0,0.25,14.25,0.0,1",
+    "4,159.25,162.0,-0.4321208107251124,68.25,0.0,1",
 ]
 
 SAMPLE_K4_D3_N12_SEED9 = {
@@ -160,6 +170,12 @@ def test_cycles_data_section(tmp_path):
     got = run_data(tmp_path, ["cycles", "--k", "4", "--d", "3", "--n", "60", "--samples", "40",
                               "--seed", "3", "--threads", "1"])
     assert got == CYCLES_K4_D3_N60_SEED3
+
+
+def test_cycles_walk_data_section(tmp_path):
+    got = run_data(tmp_path, ["cycles", "--k", "4", "--d", "3", "--n", "400", "--samples", "4",
+                              "--l-max", "4", "--seed", "3", "--threads", "1"])
+    assert got == CYCLES_K4_D3_N400_SEED3_L4
 
 
 @pytest.mark.parametrize("kind", ["plain", "simple"])

@@ -55,6 +55,17 @@ class TestThreshold:
             rep = threshold_dstar(k)
             assert abs(threshold_f(k, rep.d_star) - 1.0) <= 1e-10, k
 
+    def test_matches_high_precision(self):
+        # For large k, H(2/k) needs ln(1 - 2/k) to full relative precision.
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            for k in [*range(4, 41), 10**5, 10**6, 10**9]:
+                p = mpmath.mpf(2) / k
+                entropy = -p * mpmath.log(p) - (1 - p) * mpmath.log(1 - p)
+                ln_w2 = mpmath.log(mpmath.mpf(2) / (k * (k - 1)))
+                exact = k * entropy / (k * entropy + ln_w2)
+                assert abs(threshold_dstar(k).d_star - exact) <= 1e-12 * exact, k
+
     def test_small_k_rejected(self):
         with pytest.raises(ParameterError):
             threshold_dstar(3)
