@@ -1,12 +1,21 @@
 """Command-line orchestration over the library modules.
 
-Every run builds a manifest (subcommand, parameters, master seed,
-threads, version, timestamps) that is embedded as '#'-prefixed comment
-lines in whatever file or stream the run emits.  The data section below
-the comments is a pure function of the manifest minus its timestamps,
-so reruns are byte-identical and diffable.
+Each flag is declared once, in ``_FLAGS``, and each subcommand once, in
+``_build_parser``: its name, help, flags (named without their dashes)
+and runner, bound with ``set_defaults(run=...)``.  Every subcommand
+takes ``--out``.  A runner is a plain function from the parsed
+arguments to the data lines, and it looks library functions up in this
+module's namespace when it runs, so a caller may swap them (the
+benchmark's tracer does).
 
-Exit codes: 0 success, 2 usage/domain errors, 3 verification failures.
+``main`` resolves ``--threads`` where a subcommand has it, runs the
+runner and writes the manifest (subcommand, version, master seed,
+threads, parameters, timestamps) as '#'-prefixed comment lines above the
+data.  The data section is a pure function of the manifest minus its
+timestamps, so reruns are byte-identical and diffable.
+
+Exit codes: 0 success, 2 usage/domain errors (a malformed flag value and
+running out of memory included), 3 verification failures.
 """
 
 from __future__ import annotations
@@ -14,7 +23,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import astuple
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -41,34 +50,101 @@ from .sdpi import (
 )
 
 
-@dataclass
-class RunManifest:
-    subcommand: str
-    params: dict
-    seed: int | None
-    threads: int | None
-    version: str = __version__
-    started: str = ""
-    finished: str = ""
+def _seed(text: str) -> int:
+    seed = int(text)
+    if not 0 <= seed < 1 << 64:
+        raise argparse.ArgumentTypeError(f"seed must be in [0, 2**64), got {seed}")
+    return seed
 
-    def comment_lines(self) -> list[str]:
-        rows = [
-            ("subcommand", self.subcommand),
-            ("version", self.version),
-            ("seed", self.seed),
-            ("threads", self.threads),
-        ]
-        rows += sorted(self.params.items())
-        rows += [("started", self.started), ("finished", self.finished)]
-        return [f"# manifest: {key} = {value}" for key, value in rows]
+
+def _n_list(text: str) -> list[int]:
+    values = [int(tok) for tok in text.split(",") if tok.strip()]
+    if not values:
+        raise argparse.ArgumentTypeError(f"need at least one n, got {text!r}")
+    return values
+
+
+# argparse settings of every flag, by flag string
+_FLAGS = {
+    "--k": dict(type=int, required=True),
+    "--d": dict(type=int, required=True),
+    "--n": dict(type=int, required=True),
+    "--trials": dict(type=int, required=True),
+    "--samples": dict(type=int, required=True),
+    "--seed": dict(type=_seed, required=True),
+    "--l-max": dict(type=int, default=2),
+    "--l": dict(type=int, default=1),
+    "--r": dict(type=int, default=2),
+    "--exact": dict(action="store_true", help="include exact finite-n values"),
+    "--cap": dict(type=int, default=32),
+    "--threads": dict(type=int),
+    "--channel": dict(required=True, help="channel/pmf document path"),
+    "--grid-depth": dict(type=int, default=200),
+    "--refine-tol": dict(type=float, default=1e-10),
+    "--grid-points": dict(type=int, default=20001),
+    "--root-tol": dict(type=float, default=1e-12),
+    "--simple": dict(action="store_true", help="reject instances with two-cycles"),
+    "--max-attempts": dict(type=int, default=1000),
+    "--in": dict(dest="infile", required=True),
+    "--out": {},
+}
+
+# manifest rows written before the sorted parameters, or not at all
+_NOT_PARAMS = ("subcommand", "seed", "threads", "out", "run")
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="occuthresh",
+        description="Random regular 2-in-k occupation problems: thresholds, moments, "
+        "cycle statistics, and KL contraction coefficients.",
+    )
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+
+    def command(name, run, help, flags, **overrides):
+        # ``flags`` names each flag without its dashes; an override replaces its settings
+        p = sub.add_parser(name, help=help)
+        for flag in (*flags.split(), "out"):
+            p.add_argument(f"--{flag}", **overrides.get(flag, _FLAGS[f"--{flag}"]))
+        p.set_defaults(run=run)
+
+    command("threshold", _run_threshold, "satisfiability threshold degree for a given k", "k")
+    command("satprob", _run_satprob, "Monte Carlo satisfiability fractions over n",
+            "k d n trials seed r cap threads",
+            n=dict(type=_n_list, required=True, help="comma-separated n values"))
+    command("cycles", _run_cycles, "short-cycle census statistics vs Poisson limits",
+            "k d n samples seed l-max r threads")
+    command("moments", _run_moments, "exact and asymptotic moment report", "k d n l exact")
+    command("sdpi", _run_sdpi, "contraction coefficient of a channel file",
+            "channel grid-depth refine-tol")
+    command("verify-k4", _run_verify_k4, "run the k=4 contraction certificate",
+            "grid-points root-tol")
+    command("conjecture", _run_conjecture, "occupation contraction supremum vs conjectured value",
+            "k grid-depth refine-tol")
+    command("sample", _run_sample, "sample a configuration to a file",
+            "k d n seed r simple max-attempts")
+    command("count", _run_count, "exact solution count of a configuration file", "in cap")
+    return parser
 
 
 def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _emit(out: str | None, manifest: RunManifest, data_lines: list[str]):
-    text = "\n".join(manifest.comment_lines() + data_lines) + "\n"
+def _manifest_lines(args, started: str, finished: str) -> list[str]:
+    rows = [
+        ("subcommand", args.subcommand),
+        ("version", __version__),
+        ("seed", getattr(args, "seed", None)),
+        ("threads", getattr(args, "threads", None)),
+    ]
+    rows += [(key, value) for key, value in sorted(vars(args).items()) if key not in _NOT_PARAMS]
+    rows += [("started", started), ("finished", finished)]
+    return [f"# manifest: {key} = {value}" for key, value in rows]
+
+
+def _emit(out: str | None, lines: list[str]):
+    text = "\n".join(lines) + "\n"
     if out:
         try:
             Path(out).write_text(text)
@@ -85,88 +161,11 @@ def _read_input(path: str) -> str:
         raise ParameterError(f"cannot read {path}: {exc}") from None
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+def _csv(header: str, rows) -> list[str]:
+    return [header] + [",".join(repr(value) for value in astuple(row)) for row in rows]
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="occuthresh",
-        description="Random regular 2-in-k occupation problems: thresholds, moments, "
-        "cycle statistics, and KL contraction coefficients.",
-    )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("threshold", help="satisfiability threshold degree for a given k")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--out")
-
-    p = sub.add_parser("satprob", help="Monte Carlo satisfiability fractions over n")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=_int_list, required=True, help="comma-separated n values")
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--r", type=int, default=2)
-    p.add_argument("--cap", type=int, default=32)
-    p.add_argument("--threads", type=int, default=None)
-    p.add_argument("--out")
-
-    p = sub.add_parser("cycles", help="short-cycle census statistics vs Poisson limits")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--l-max", type=int, default=2)
-    p.add_argument("--r", type=int, default=2)
-    p.add_argument("--threads", type=int, default=None)
-    p.add_argument("--out")
-
-    p = sub.add_parser("moments", help="exact and asymptotic moment report")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--l", type=int, default=1)
-    p.add_argument("--exact", action="store_true", help="include exact finite-n values")
-    p.add_argument("--out")
-
-    p = sub.add_parser("sdpi", help="contraction coefficient of a channel file")
-    p.add_argument("--channel", required=True, help="channel/pmf document path")
-    p.add_argument("--grid-depth", type=int, default=200)
-    p.add_argument("--refine-tol", type=float, default=1e-10)
-    p.add_argument("--out")
-
-    p = sub.add_parser("verify-k4", help="run the k=4 contraction certificate")
-    p.add_argument("--grid-points", type=int, default=20001)
-    p.add_argument("--root-tol", type=float, default=1e-12)
-    p.add_argument("--out")
-
-    p = sub.add_parser("conjecture", help="occupation contraction supremum vs conjectured value")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--grid-depth", type=int, default=200)
-    p.add_argument("--refine-tol", type=float, default=1e-10)
-    p.add_argument("--out")
-
-    p = sub.add_parser("sample", help="sample a configuration to a file")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--r", type=int, default=2)
-    p.add_argument("--simple", action="store_true", help="reject instances with two-cycles")
-    p.add_argument("--max-attempts", type=int, default=1000)
-    p.add_argument("--out")
-
-    p = sub.add_parser("count", help="exact solution count of a configuration file")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--cap", type=int, default=32)
-    p.add_argument("--out")
-
-    return parser
-
-
-def _run_threshold(args, manifest: RunManifest) -> list[str]:
+def _run_threshold(args) -> list[str]:
     rep = threshold_dstar(args.k)
     return [
         f"k = {rep.k}",
@@ -178,9 +177,7 @@ def _run_threshold(args, manifest: RunManifest) -> list[str]:
     ]
 
 
-def _run_satprob(args, manifest: RunManifest) -> list[str]:
-    threads = thread_count(args.threads)
-    manifest.threads = threads
+def _run_satprob(args) -> list[str]:
     rows = estimate_sat_probability(
         k=args.k,
         d=args.d,
@@ -188,23 +185,15 @@ def _run_satprob(args, manifest: RunManifest) -> list[str]:
         trials=args.trials,
         seed=args.seed,
         r=args.r,
-        threads=threads,
+        threads=args.threads,
         cap=args.cap,
     )
-    lines = ["n,trials,sat_count,sat_fraction,ci_low,ci_high,seed"]
-    for row in rows:
-        lines.append(
-            f"{row.n},{row.trials},{row.sat_count},{row.sat_fraction!r},"
-            f"{row.ci_low!r},{row.ci_high!r},{row.seed}"
-        )
-    return lines
+    return _csv("n,trials,sat_count,sat_fraction,ci_low,ci_high,seed", rows)
 
 
-def _run_cycles(args, manifest: RunManifest) -> list[str]:
+def _run_cycles(args) -> list[str]:
     if args.samples < 2:  # poisson_gof needs two censuses; refuse before sampling
         raise ParameterError(f"cycles needs --samples >= 2, got {args.samples}")
-    threads = thread_count(args.threads)
-    manifest.threads = threads
     censuses = census_samples(
         k=args.k,
         d=args.d,
@@ -213,18 +202,13 @@ def _run_cycles(args, manifest: RunManifest) -> list[str]:
         seed=args.seed,
         l_max=args.l_max,
         r=args.r,
-        threads=threads,
+        threads=args.threads,
     )
-    lines = ["l,empirical_mean,lambda,z_score,empirical_var,chi2,dof"]
-    for row in poisson_gof(censuses, args.k, args.d):
-        lines.append(
-            f"{row.l},{row.empirical_mean!r},{row.lam!r},{row.z_score!r},"
-            f"{row.empirical_var!r},{row.chi2!r},{row.dof}"
-        )
-    return lines
+    return _csv("l,empirical_mean,lambda,z_score,empirical_var,chi2,dof",
+                poisson_gof(censuses, args.k, args.d))
 
 
-def _run_moments(args, manifest: RunManifest) -> list[str]:
+def _run_moments(args) -> list[str]:
     params = Params(n=args.n, d=args.d, k=args.k, r=2)
     ln_ez_asym = first_moment_asymptotic(args.k, args.d, args.n).value
     try:
@@ -253,7 +237,7 @@ def _run_moments(args, manifest: RunManifest) -> list[str]:
     ]
 
 
-def _run_sdpi(args, manifest: RunManifest) -> list[str]:
+def _run_sdpi(args) -> list[str]:
     p_star, channel = parse_channel(_read_input(args.channel))
     value, argmax = contraction_coefficient(
         p_star, channel, grid_depth=args.grid_depth, refine_tol=args.refine_tol
@@ -262,12 +246,12 @@ def _run_sdpi(args, manifest: RunManifest) -> list[str]:
     return [f"d_star = {value!r}", f"argmax = [{arg}]"]
 
 
-def _run_verify_k4(args, manifest: RunManifest) -> list[str]:
+def _run_verify_k4(args) -> list[str]:
     cert = certify_k4_contraction(grid_points=args.grid_points, root_tol=args.root_tol)
     return format_certificate(cert).splitlines()
 
 
-def _run_conjecture(args, manifest: RunManifest) -> list[str]:
+def _run_conjecture(args) -> list[str]:
     res = occupation_contraction(
         args.k, grid_depth=args.grid_depth, refine_tol=args.refine_tol
     )
@@ -281,7 +265,7 @@ def _run_conjecture(args, manifest: RunManifest) -> list[str]:
     ]
 
 
-def _run_sample(args, manifest: RunManifest) -> list[str]:
+def _run_sample(args) -> list[str]:
     params = Params(n=args.n, d=args.d, k=args.k, r=args.r)
     if args.simple:
         cfg = sample_simple(params, args.seed, max_attempts=args.max_attempts)
@@ -290,48 +274,28 @@ def _run_sample(args, manifest: RunManifest) -> list[str]:
     return serialize(cfg).splitlines()
 
 
-def _run_count(args, manifest: RunManifest) -> list[str]:
+def _run_count(args) -> list[str]:
     cfg = deserialize(_read_input(args.infile))
     z = count_solutions(cfg, cap=args.cap)
     return [f"solutions = {z}"]
 
 
-_RUNNERS = {
-    "threshold": _run_threshold,
-    "satprob": _run_satprob,
-    "cycles": _run_cycles,
-    "moments": _run_moments,
-    "sdpi": _run_sdpi,
-    "verify-k4": _run_verify_k4,
-    "conjecture": _run_conjecture,
-    "sample": _run_sample,
-    "count": _run_count,
-}
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    manifest = RunManifest(
-        subcommand=args.subcommand,
-        params={
-            key: value
-            for key, value in sorted(vars(args).items())
-            if key not in ("subcommand", "seed", "threads", "out")
-        },
-        seed=getattr(args, "seed", None),
-        threads=getattr(args, "threads", None),
-        started=_now(),
-    )
+    args = _build_parser().parse_args(argv)
+    started = _now()
     try:
-        data_lines = _RUNNERS[args.subcommand](args, manifest)
-        manifest.finished = _now()
-        _emit(getattr(args, "out", None), manifest, data_lines)
+        if hasattr(args, "threads"):
+            args.threads = thread_count(args.threads)
+        data_lines = args.run(args)
+        _emit(args.out, _manifest_lines(args, started, _now()) + data_lines)
     except CertificateError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 3
     except OccuthreshError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # a size flag too large for this machine
+        print(f"error: out of memory: {str(exc) or 'MemoryError'}", file=sys.stderr)
         return 2
     return 0
 

@@ -238,8 +238,9 @@ def second_moment_exact_ratio(params: Params) -> LogReal:
         return np.where(valid, out, -np.inf)
 
     log_pstar = np.log(input_pmf_star(k))
-    log_pv_denom = float(log_c(n, np.array(n1)))
-    log_pe_denom = float(log_c(dn, np.array(d * n1)))
+    r1s = np.arange(n1 + 1)
+    log_pv = log_c(n1, r1s) + log_c(n - n1, n1 - r1s) - float(log_c(n, n1))
+    log_pe = log_c(d * n1, d * r1s) + log_c(d * (n - n1), d * (n1 - r1s)) - float(log_c(dn, d * n1))
     per_r1 = np.full(n1 + 1, -np.inf)
     for r1 in range(n1 + 1):
         lo = max(0, d * r1 - m)
@@ -250,11 +251,6 @@ def second_moment_exact_ratio(params: Params) -> LogReal:
         t0 = m - d * r1 + r2
         t1 = d * r1 - 2 * r2
         t2 = r2
-        log_pv = float(log_c(n1, np.array(r1)) + log_c(n - n1, np.array(n1 - r1))) - log_pv_denom
-        log_pe = (
-            float(log_c(d * n1, np.array(d * r1)) + log_c(d * (n - n1), np.array(d * (n1 - r1))))
-            - log_pe_denom
-        )
         log_pf = (
             lf[m]
             - lf[t0]
@@ -264,7 +260,7 @@ def second_moment_exact_ratio(params: Params) -> LogReal:
             + t1 * log_pstar[1]
             + t2 * log_pstar[2]
         )
-        terms = log_pv + log_pf - log_pe
+        terms = log_pv[r1] + log_pf - log_pe[r1]
         peak = terms.max()
         if peak > -np.inf:
             per_r1[r1] = peak + np.log(np.exp(terms - peak).sum())

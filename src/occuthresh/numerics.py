@@ -168,6 +168,10 @@ def kl_divergence_rows(ps: np.ndarray, p_star: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         d = ps - q
         terms = ps * np.log1p(d / q) - d
+    lost = terms == -np.inf  # p so far below q that d / q rounds to -1
+    if lost.any():
+        p_lost, q_lost = ps[lost], np.broadcast_to(q, ps.shape)[lost]
+        terms[lost] = p_lost * (np.log(p_lost) - np.log(q_lost)) - (p_lost - q_lost)
     terms = np.where(ps == 0.0, q, terms)
     zero_q = (q == 0.0) & (ps > 0.0)
     terms = np.where(zero_q, np.inf, terms)

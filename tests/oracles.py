@@ -8,7 +8,9 @@ The contraction grid and its refinement have one-point-at-a-time
 references: recursive composition tuples and a sequential hill climb.
 The sampler's reference is the scalar Fisher-Yates loop, one stream
 output and one rejection test at a time, and the cycle census's is a
-recursive walk, one Python call per visited variable.  A contraction
+recursive walk, one Python call per visited variable.  The exact
+second moment's reference takes its vertex and edge factors one overlap
+r1 at a time, four scalar log-binomials each.  A contraction
 coefficient is bracketed by two closed forms that share no code with its
 search: the chi-square coefficient below and the Dobrushin coefficient
 above.
@@ -22,6 +24,9 @@ from fractions import Fraction
 import numpy as np
 
 from occuthresh.instances import Configuration, Params
+from occuthresh.moments import input_pmf_star
+from occuthresh.numerics import log_factorials
+from occuthresh.occupancy import ones_quota
 
 
 def count_solutions_bruteforce(cfg: Configuration) -> int:
@@ -237,3 +242,38 @@ def census_walk_reference(cfg: Configuration, l_max: int) -> tuple:
     for l in range(1, l_max + 1):
         assert directed[l] % (2 * l) == 0, f"directed {2 * l}-cycle count {directed[l]}"
     return tuple(directed[l] // (2 * l) for l in range(1, l_max + 1))
+
+
+def second_moment_ratio_reference(params: Params) -> float:
+    """ln(E[Z^2]/E[Z]^2) with the r1 factors computed inside the r1 loop.
+
+    The sum over r2 is the library's, so the result must be bit-identical
+    to ``second_moment_exact_ratio``.
+    """
+    n1 = ones_quota(params)
+    if n1 is None:
+        return float("-inf")
+    n, d, m = params.n, params.d, params.m
+    lf = log_factorials(d * n)
+
+    def log_c(a: int, b: int) -> float:
+        return float(lf[a] - lf[b] - lf[a - b]) if 0 <= b <= a else float("-inf")
+
+    log_pstar = np.log(input_pmf_star(params.k))
+    per_r1 = np.full(n1 + 1, -np.inf)
+    for r1 in range(n1 + 1):
+        lo, hi = max(0, d * r1 - m), (d * r1) // 2
+        if lo > hi:
+            continue
+        log_pv = (log_c(n1, r1) + log_c(n - n1, n1 - r1)) - log_c(n, n1)
+        log_pe = (log_c(d * n1, d * r1) + log_c(d * (n - n1), d * (n1 - r1))) - log_c(d * n, d * n1)
+        r2 = np.arange(lo, hi + 1)
+        t0, t1, t2 = m - d * r1 + r2, d * r1 - 2 * r2, r2
+        log_pf = (lf[m] - lf[t0] - lf[t1] - lf[t2]
+                  + t0 * log_pstar[0] + t1 * log_pstar[1] + t2 * log_pstar[2])
+        terms = log_pv + log_pf - log_pe
+        peak = terms.max()
+        if peak > -np.inf:
+            per_r1[r1] = peak + np.log(np.exp(terms - peak).sum())
+    peak = per_r1.max()
+    return float(peak + np.log(np.exp(per_r1 - peak).sum()))

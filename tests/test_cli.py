@@ -279,6 +279,32 @@ class TestErrorContract:
         assert run(["verify-k4", "--root-tol", tol]) == 2
         assert f"need a finite tol > 0, got {tol}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64), str(-(2**64))])
+    def test_seed_outside_64_bits_is_a_usage_error(self, capsys, seed):
+        with pytest.raises(SystemExit) as exc:
+            run(["sample", "--k", "4", "--d", "3", "--n", "12", "--seed", seed])
+        assert exc.value.code == 2
+        assert f"seed must be in [0, 2**64), got {seed}" in capsys.readouterr().err
+
+    def test_largest_seed_is_accepted(self, capsys):
+        assert run(["sample", "--k", "4", "--d", "3", "--n", "12", "--seed", str(2**64 - 1)]) == 0
+        assert f"# manifest: seed = {2**64 - 1}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("n", ["", ",", " , "])
+    def test_empty_n_list_is_a_usage_error(self, capsys, n):
+        with pytest.raises(SystemExit) as exc:
+            run(["satprob", "--k", "4", "--d", "3", "--n", n, "--trials", "3", "--seed", "1"])
+        assert exc.value.code == 2
+        assert "need at least one n" in capsys.readouterr().err
+
+    def test_out_of_memory_exits_2(self, monkeypatch, capsys):
+        def allocate(args):
+            raise MemoryError("Unable to allocate 745. GiB for an array with shape (100000000001,)")
+
+        monkeypatch.setattr(cli, "_run_conjecture", allocate)
+        assert run(["conjecture", "--k", "4", "--grid-depth", "100000000000"]) == 2
+        assert "error: out of memory: Unable to allocate 745. GiB" in capsys.readouterr().err
+
     def test_import_leaves_scipy_out(self):
         code = "import sys, occuthresh.cli; sys.exit('scipy' in sys.modules)"
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}

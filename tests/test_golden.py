@@ -12,6 +12,8 @@ log-sum-exp over cancelling terms, so a different log-gamma table moves
 it at the 1e-11 level, and it is compared within ``LN_RATIO_ABS_TOL``.
 """
 
+from datetime import datetime
+
 import pytest
 
 from occuthresh import cli
@@ -122,6 +124,40 @@ VERIFY_K4 = [
 ]
 
 
+# Every manifest line but the two timestamps, pinned like the data sections.
+MANIFEST_SATPROB = [
+    "# manifest: subcommand = satprob",
+    "# manifest: version = 0.1.0",
+    "# manifest: seed = 11",
+    "# manifest: threads = 1",
+    "# manifest: cap = 32",
+    "# manifest: d = 3",
+    "# manifest: k = 4",
+    "# manifest: n = [8, 16, 24]",
+    "# manifest: r = 2",
+    "# manifest: trials = 50",
+]
+
+MANIFEST_VERIFY_K4 = [
+    "# manifest: subcommand = verify-k4",
+    "# manifest: version = 0.1.0",
+    "# manifest: seed = None",
+    "# manifest: threads = None",
+    "# manifest: grid_points = 20001",
+    "# manifest: root_tol = 1e-12",
+]
+
+
+def manifest_section(path) -> list[str]:
+    """The manifest lines, with the two timestamps checked and dropped."""
+    lines = [line for line in path.read_text().splitlines() if line.startswith("# manifest: ")]
+    started, finished = (datetime.fromisoformat(line.partition(" = ")[2]) for line in lines[-2:])
+    assert lines[-2].startswith("# manifest: started = ")
+    assert lines[-1].startswith("# manifest: finished = ")
+    assert started <= finished
+    return lines[:-2]
+
+
 def data_section(path) -> list[str]:
     return [line for line in path.read_text().splitlines() if not line.startswith("#")]
 
@@ -137,6 +173,7 @@ def test_satprob_data_section(tmp_path):
     assert cli.main(["satprob", "--k", "4", "--d", "3", "--n", "8,16,24", "--trials", "50",
                      "--seed", "11", "--threads", "1", "--out", str(out)]) == 0
     assert data_section(out) == SATPROB_K4_D3_SEED11
+    assert manifest_section(out) == MANIFEST_SATPROB
 
 
 def test_count_data_section(tmp_path):
@@ -198,3 +235,4 @@ def test_conjecture_data_section(tmp_path):
 
 def test_verify_k4_data_section(tmp_path):
     assert run_data(tmp_path, ["verify-k4"]) == VERIFY_K4
+    assert manifest_section(tmp_path / "out.txt") == MANIFEST_VERIFY_K4

@@ -30,6 +30,8 @@ from occuthresh.moments import (
 from occuthresh.numerics import kl_divergence_rows
 from occuthresh.cycles import delta_l, lambda_l, mu_l
 
+from tests.oracles import second_moment_ratio_reference
+
 
 class TestThreshold:
     def test_k4_value(self):
@@ -216,6 +218,15 @@ class TestSecondMoment:
 
     def test_fractional_quota_flag(self):
         assert second_moment_exact_ratio(Params(n=3, d=4, k=4, r=2)).is_zero
+
+    def test_matches_scalar_loop_reference(self):
+        cases = [(k, d, n) for k in (4, 5, 6, 8) for d in (2, 3, 4, 6)
+                 for n in (4, 8, 12, 30, 60, 120, 400, 1000)]
+        for k, d, n in cases:
+            if (d * n) % k:
+                continue
+            params = Params(n=n, d=d, k=k, r=2)
+            assert second_moment_exact_ratio(params).value == second_moment_ratio_reference(params), (k, d, n)
 
     def test_converges_to_asymptotic(self):
         target = math.sqrt(1.5)

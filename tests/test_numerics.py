@@ -155,6 +155,15 @@ class TestKlDivergence:
         got = float(kl_divergence_rows((q + t * v).reshape(1, -1), q)[0])
         assert math.isclose(got, expected, rel_tol=1e-5)
 
+    @pytest.mark.parametrize("tiny", [1e-17, 1e-300, 5e-324])
+    def test_entry_far_below_reference(self, tiny):
+        # p - q rounds to -q here, so log1p((p - q) / q) alone would give -inf.
+        q = np.array([0.5, 0.5])
+        p = np.array([tiny, 1.0 - tiny])
+        expected = tiny * (math.log(tiny) - math.log(0.5)) + (1.0 - tiny) * math.log(2.0 * (1.0 - tiny))
+        got = float(kl_divergence_rows(p.reshape(1, -1), q)[0])
+        assert math.isclose(got, expected, rel_tol=1e-15)
+
 
 class TestPmfChannelTypes:
     def test_pmf_validation(self):
