@@ -1,12 +1,13 @@
 """Command-line orchestration over the library modules.
 
 Each flag is declared once, in ``_FLAGS``, and each subcommand once, in
-``_build_parser``: its name, help, flags (named without their dashes)
-and runner, bound with ``set_defaults(run=...)``.  Every subcommand
-takes ``--out``.  A runner is a plain function from the parsed
-arguments to the data lines, and it looks library functions up in this
-module's namespace when it runs, so a caller may swap them (the
-benchmark's tracer does).
+``_build_parser``: its name, help and flags (named without their
+dashes).  Every subcommand takes ``--out``.  The parser is built at the
+first ``main`` call and kept for the process.  The runner of subcommand
+``name`` is ``_run_<name>`` (``-`` read as ``_``), a plain function
+from the parsed arguments to the data lines.  ``main`` looks it up, and
+runners look library functions up, in this module's namespace at call
+time, so a caller may swap either (the benchmark's tracer does).
 
 ``main`` resolves ``--threads`` where a subcommand has it, runs the
 runner and writes the manifest (subcommand, version, master seed,
@@ -21,6 +22,7 @@ running out of memory included), 3 verification failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import astuple
@@ -90,9 +92,10 @@ _FLAGS = {
 }
 
 # manifest rows written before the sorted parameters, or not at all
-_NOT_PARAMS = ("subcommand", "seed", "threads", "out", "run")
+_NOT_PARAMS = ("subcommand", "seed", "threads", "out")
 
 
+@functools.cache  # built once per process; it holds nothing read from the environment
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="occuthresh",
@@ -101,29 +104,26 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def command(name, run, help, flags, **overrides):
+    def command(name, help, flags, **overrides):
         # ``flags`` names each flag without its dashes; an override replaces its settings
         p = sub.add_parser(name, help=help)
         for flag in (*flags.split(), "out"):
             p.add_argument(f"--{flag}", **overrides.get(flag, _FLAGS[f"--{flag}"]))
-        p.set_defaults(run=run)
 
-    command("threshold", _run_threshold, "satisfiability threshold degree for a given k", "k")
-    command("satprob", _run_satprob, "Monte Carlo satisfiability fractions over n",
+    command("threshold", "satisfiability threshold degree for a given k", "k")
+    command("satprob", "Monte Carlo satisfiability fractions over n",
             "k d n trials seed r cap threads",
             n=dict(type=_n_list, required=True, help="comma-separated n values"))
-    command("cycles", _run_cycles, "short-cycle census statistics vs Poisson limits",
+    command("cycles", "short-cycle census statistics vs Poisson limits",
             "k d n samples seed l-max r threads")
-    command("moments", _run_moments, "exact and asymptotic moment report", "k d n l exact")
-    command("sdpi", _run_sdpi, "contraction coefficient of a channel file",
-            "channel grid-depth refine-tol")
-    command("verify-k4", _run_verify_k4, "run the k=4 contraction certificate",
-            "grid-points root-tol")
-    command("conjecture", _run_conjecture, "occupation contraction supremum vs conjectured value",
+    command("moments", "exact and asymptotic moment report", "k d n l exact")
+    command("sdpi", "contraction coefficient of a channel file", "channel grid-depth refine-tol")
+    command("verify-k4", "run the k=4 contraction certificate", "grid-points root-tol")
+    command("conjecture", "occupation contraction supremum vs conjectured value",
             "k grid-depth refine-tol")
-    command("sample", _run_sample, "sample a configuration to a file",
+    command("sample", "sample a configuration to a file",
             "k d n seed r simple max-attempts")
-    command("count", _run_count, "exact solution count of a configuration file", "in cap")
+    command("count", "exact solution count of a configuration file", "in cap")
     return parser
 
 
@@ -286,7 +286,7 @@ def main(argv=None) -> int:
     try:
         if hasattr(args, "threads"):
             args.threads = thread_count(args.threads)
-        data_lines = args.run(args)
+        data_lines = globals()[f"_run_{args.subcommand.replace('-', '_')}"](args)
         _emit(args.out, _manifest_lines(args, started, _now()) + data_lines)
     except CertificateError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)

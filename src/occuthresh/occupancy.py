@@ -227,12 +227,16 @@ def estimate_sat_probability(
     for n in n_list:
         _check_cap(n, cap)
         Params(n=n, d=d, k=k, r=r)  # validate the family up front
+    # every (n, trial) task in one map, so one worker pool serves all of n_list
+    tasks = [
+        (n, d, k, r, child_seed(child_seed(seed, i), t), cap)
+        for i, n in enumerate(n_list)
+        for t in range(trials)
+    ]
+    outcomes = parallel_map(_sat_trial, tasks, threads)
     rows = []
     for i, n in enumerate(n_list):
-        seed_n = child_seed(seed, i)
-        tasks = [(n, d, k, r, child_seed(seed_n, t), cap) for t in range(trials)]
-        outcomes = parallel_map(_sat_trial, tasks, threads)
-        sat = sum(bool(o) for o in outcomes)
+        sat = sum(bool(o) for o in outcomes[i * trials : (i + 1) * trials])
         lo, hi = _wilson_interval(sat, trials)
         rows.append(
             SatProbRow(

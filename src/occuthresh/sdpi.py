@@ -313,9 +313,17 @@ def minimizing_w2(k: int, w1):
 
 
 def k4_output_divergence(w1):
-    """KL of the output cells from their reference: w1 ln(2w1) + (1-w1) ln(2(1-w1))."""
+    """KL of the output cells from their reference: w1 ln(2w1) + (1-w1) ln(2(1-w1)).
+
+    Evaluated as t atanh(t) + log1p(-t^2)/2 with t = 2w1 - 1, which does
+    not cancel near w1 = 1/2, where the divergence vanishes like t^2/2;
+    the ends |t| = 1 take their limit ln 2.
+    """
     w1 = _check_unit(w1, "output divergence")
-    return _like(w1, _xlny(w1, 2.0 * w1) + _xlny(1.0 - w1, 2.0 * (1.0 - w1)))
+    t = 2.0 * w1 - 1.0
+    end = np.abs(t) == 1.0
+    t = np.where(end, 0.0, t)  # arctanh(+-1) would warn
+    return _like(w1, np.where(end, math.log(2.0), t * np.arctanh(t) + 0.5 * np.log1p(-t * t)))
 
 
 def k4_min_input_divergence(w1):

@@ -1,5 +1,6 @@
 """Command-line interface: flags, exit codes, file formats, determinism."""
 
+import argparse
 import os
 import subprocess
 import sys
@@ -174,6 +175,11 @@ class TestVerifyK4:
         assert {"w_bar", "w_0", "grid_resolution", "max_ratio_found",
                 "conjectured_d_star", "ratio_at_w_bar"} <= keys
 
+    @pytest.mark.parametrize("tol", ["1e-10", "1e-11", "1e-300"])
+    def test_passes_at_any_root_tol(self, capsys, tol):
+        assert run(["verify-k4", "--root-tol", tol]) == 0
+        assert "margin.rplus_max_increase = -" in capsys.readouterr().out
+
     def test_failure_exits_3(self, monkeypatch, capsys):
         def boom(**kwargs):
             raise CertificateError("d_min_vs_d_plus", 0.4, "forced failure")
@@ -197,6 +203,33 @@ class TestConjecture:
         out = capsys.readouterr().out
         line = next(l for l in out.splitlines() if l.startswith("gap = "))
         assert abs(float(line.split(" = ")[1])) < 1e-6
+
+
+class TestParser:
+    def test_built_once_per_process(self, monkeypatch, capsys):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        cli._build_parser.cache_clear()
+        try:
+            assert run(["threshold", "--k", "4"]) == 0
+            first = len(built)
+            assert run(["conjecture", "--k", "5", "--grid-depth", "20"]) == 0
+        finally:
+            cli._build_parser.cache_clear()  # later tests build their own
+        assert first == 10  # the parser and its nine subparsers
+        assert len(built) == first
+
+    def test_runner_found_at_call_time(self, monkeypatch, capsys):
+        assert run(["threshold", "--k", "4"]) == 0
+        monkeypatch.setattr(cli, "_run_threshold", lambda args: [f"swapped k = {args.k}"])
+        assert run(["threshold", "--k", "5"]) == 0
+        assert capsys.readouterr().out.endswith("swapped k = 5\n")
 
 
 class TestThreadsEnv:

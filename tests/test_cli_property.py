@@ -4,8 +4,8 @@ Each case starts from an argv the subcommand accepts and changes up to
 two of its flags: to a value past the accepted range (zero, negatives,
 seeds outside [0, 2^64), nan and inf tolerances, empty ``--n`` lists),
 to a malformed string, or by leaving the flag out.  Sizes stay small so
-every case runs in milliseconds.  argparse refuses malformed argv with
-``SystemExit(2)``.
+every case runs in milliseconds; a case past 30 s fails and names its
+argv.  argparse refuses malformed argv with ``SystemExit(2)``.
 """
 
 import contextlib
@@ -14,6 +14,8 @@ import io
 import pytest
 
 from occuthresh import cli
+
+from tests.case_limit import time_limit
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -106,8 +108,8 @@ def test_generated_argv_exits_0_2_or_3(subcommand, flags):
     @hypothesis.given(argvs(subcommand, flags[subcommand]))
     def check(argv):
         sink = io.StringIO()
-        with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(sink), \
-                contextlib.redirect_stderr(sink):
+        with time_limit(argv), pytest.MonkeyPatch.context() as mp, \
+                contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
             mp.setenv("OCCUTHRESH_THREADS", "1")  # an omitted --threads starts no workers
             try:
                 code = cli.main(argv)

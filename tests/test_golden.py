@@ -114,13 +114,13 @@ VERIFY_K4 = [
     "grid_resolution = 20001",
     "max_ratio_found = 0.3868528072345416",
     "conjectured_d_star = 0.3868528072345416",
-    "ratio_at_w_bar = 0.38041260449265996",
+    "ratio_at_w_bar = 0.3804126044926599",
     "margin.dmin_minus_dminus_min = 0.0",
     "margin.dmin_minus_dplus_min = -2.3352274839327433e-16",
     "margin.f_at_origin = 0.0",
-    "margin.f_at_w_bar = -0.005928373617889782",
+    "margin.f_at_w_bar = -0.005928373617889837",
     "margin.grid_max_headroom = 9.999999999732445e-07",
-    "margin.rplus_max_increase = -8.554823516249144e-11",
+    "margin.rplus_max_increase = -8.523387551306882e-11",
 ]
 
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from occuthresh import occupancy, parallel
 from occuthresh.errors import CapacityError, ContractViolation, ParameterError
 from occuthresh.instances import Configuration, Params, child_seed, sample_configuration
 from occuthresh.occupancy import (
@@ -238,6 +239,23 @@ class TestSatProbability:
         serial = estimate_sat_probability(k=4, d=3, n_list=[8, 12], trials=40, seed=13, threads=1)
         pooled = estimate_sat_probability(k=4, d=3, n_list=[8, 12], trials=40, seed=13, threads=3)
         assert serial == pooled
+
+    def test_one_map_for_every_n(self, monkeypatch):
+        """All (n, trial) tasks go through one parallel_map call, so one worker pool."""
+        calls = []
+
+        def counting(fn, items, threads):
+            calls.append(len(items))
+            return parallel.parallel_map(fn, items, threads)
+
+        monkeypatch.setattr(occupancy, "parallel_map", counting)
+        rows = {
+            threads: estimate_sat_probability(k=4, d=3, n_list=[8, 12, 16], trials=6, seed=5,
+                                              threads=threads)
+            for threads in (1, 2)
+        }
+        assert calls == [18, 18]
+        assert rows[1] == rows[2]
 
     def test_deterministic_under_seed(self):
         a = estimate_sat_probability(k=4, d=3, n_list=[8], trials=25, seed=21)

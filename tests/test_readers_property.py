@@ -2,7 +2,8 @@
 
 Fields are drawn past every range the readers accept: negative and
 zero integers, integers of 2^64 and beyond, and lists mixing integers
-with nan, inf and other floats.
+with nan, inf and other floats.  A document that takes past 30 s fails
+and is named.
 """
 
 import pytest
@@ -10,6 +11,8 @@ import pytest
 from occuthresh.errors import OccuthreshError
 from occuthresh.instances import deserialize
 from occuthresh.sdpi import parse_channel
+
+from tests.case_limit import time_limit
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -58,7 +61,8 @@ def channel_documents(draw):
 
 def _reads_or_refuses(reader, text):
     try:
-        reader(text)
+        with time_limit(text):
+            reader(text)
     except OccuthreshError:
         pass
 

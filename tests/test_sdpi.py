@@ -413,6 +413,15 @@ class TestK4Curves:
         ratio = k4_output_divergence(0.0) / k4_logsum_bound(0.0)
         assert math.isclose(ratio, conjectured_contraction(4), rel_tol=1e-12)
 
+    @pytest.mark.parametrize("w1", [0.5 + sign * 10.0**-j for j in range(1, 13) for sign in (1, -1)])
+    def test_output_divergence_accurate_near_half(self, w1):
+        """Relative error at most 1e-13 against 40 digits where the divergence vanishes."""
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            x = mpmath.mpf(w1)
+            exact = x * mpmath.log(2 * x) + (1 - x) * mpmath.log(2 * (1 - x))
+            assert abs((k4_output_divergence(w1) - exact) / exact) <= 1e-13
+
     def test_bounds_cross_at_w_bar(self):
         w_bar = find_root(
             lambda x: k4_quadratic_bound(x) - k4_logsum_bound(x), 0.05, 0.2, 1e-13
@@ -516,6 +525,13 @@ class TestCertificate:
         assert set(cert.margins) == expected_margins
         assert cert.margins["f_at_w_bar"] < 0  # strictly below zero between the roots
         assert cert.margins["grid_max_headroom"] >= 0
+
+    @pytest.mark.parametrize("root_tol", [1e-10, 1e-11, 1e-12, 1e-13, 1e-300])
+    @pytest.mark.parametrize("grid_points", [10**4, 20001, 100001, 1000001])
+    def test_passes_at_any_resolution_and_root_tol(self, grid_points, root_tol):
+        """The verdict does not depend on the certificate's own numerical settings."""
+        cert = certify_k4_contraction(grid_points=grid_points, root_tol=root_tol)
+        assert cert.margins["rplus_max_increase"] < 0
 
     def test_grid_floor_enforced(self):
         with pytest.raises(ParameterError):
