@@ -17,7 +17,6 @@ from occuthresh import (
     sample_configuration,
     sample_simple,
     serialize,
-    to_factor_graph,
 )
 
 params = Params(n=12, d=2, k=4, r=2)
@@ -28,9 +27,8 @@ print()
 print("Canonical text form (feed this to `occuthresh count --in ...`):")
 print(serialize(cfg))
 
-fg = to_factor_graph(cfg)
 print("Constraint neighborhoods (variables, with multiplicity):")
-for a, row in enumerate(fg.neighbors):
+for a, row in enumerate(np.sort(cfg.constraint_members(), axis=1)):
     print(f"  constraint {a}: {row.tolist()}")
 
 quota = ones_quota(params)

@@ -19,23 +19,17 @@ from .numerics import (
     Pmf,
     binary_entropy,
     find_root,
-    kl_divergence,
-    log_factorial,
-    log_multinomial,
 )
 from .instances import (
     Configuration,
-    FactorGraph,
     Params,
     child_seed,
-    count_redundant_constraints,
     count_two_cycles,
     deserialize,
     expected_redundant_exact,
     sample_configuration,
     sample_simple,
     serialize,
-    to_factor_graph,
 )
 from .occupancy import (
     ENUMERATION_CAP,

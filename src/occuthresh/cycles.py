@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import ContractViolation, ParameterError
 from .instances import Configuration, Params, child_seed, count_two_cycles, sample_configuration
+from .numerics import log_factorials
 from .parallel import parallel_map
 
 
@@ -196,7 +197,7 @@ class PoissonFitRow:
 
 def _poisson_pmf(lam: float, upto: int) -> np.ndarray:
     ks = np.arange(upto + 1)
-    logs = -lam + ks * math.log(lam) - np.array([math.lgamma(x + 1) for x in ks])
+    logs = -lam + ks * math.log(lam) - log_factorials(upto)
     return np.exp(logs)
 
 

@@ -18,7 +18,6 @@ parallelize by handing each task its own child seed.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from math import lgamma, log
 
@@ -143,22 +142,9 @@ class Configuration:
         return (self.inverse_wiring() // p.d).reshape(p.m, p.k)
 
 
-@dataclass(frozen=True)
-class FactorGraph:
-    """Per-constraint neighbor multisets (rows sorted ascending)."""
-
-    params: Params
-    neighbors: np.ndarray
-
-
 def sample_configuration(params: Params, seed: int) -> Configuration:
     """Uniform configuration via seeded Fisher-Yates on the d*n slots."""
     return Configuration(params, _permutation(seed, params.n_slots))
-
-
-def to_factor_graph(cfg: Configuration) -> FactorGraph:
-    nbrs = np.sort(cfg.constraint_members(), axis=1)
-    return FactorGraph(cfg.params, nbrs)
 
 
 def count_two_cycles(cfg: Configuration) -> int:
@@ -186,16 +172,6 @@ def sample_simple(params: Params, seed: int, max_attempts: int = 1000) -> Config
     raise RetryLimitError(
         f"no simple configuration in {max_attempts} attempts", attempts=max_attempts
     )
-
-
-def count_redundant_constraints(fg: FactorGraph) -> int:
-    """Unordered pairs of constraints on identical sets of k distinct variables."""
-    k = fg.params.k
-    tallies: Counter = Counter()
-    for row in fg.neighbors:
-        if len(set(row.tolist())) == k:
-            tallies[tuple(row.tolist())] += 1
-    return sum(c * (c - 1) // 2 for c in tallies.values())
 
 
 def expected_redundant_exact(params: Params) -> LogReal:
@@ -243,9 +219,11 @@ def read_fields(text: str, order: tuple[str, ...]):
     Blank lines and lines starting with '#' are skipped.  The keys must
     follow ``order``; a line without '=', a key out of order or a key
     past the end of ``order`` raises :class:`ParseError` with its 1-based
-    line number.  Missing trailing keys are the caller's to report.
+    line number, and so do keys left unread at the end, on the line
+    after the last key read.
     """
     expect = iter(order)
+    last = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -259,7 +237,11 @@ def read_fields(text: str, order: tuple[str, ...]):
             raise ParseError(f"unexpected extra field {key!r}", line=lineno)
         if key != wanted:
             raise ParseError(f"expected field {wanted!r}, got {key!r}", line=lineno)
+        last = lineno
         yield key, value.strip(), lineno
+    missing = list(expect)
+    if missing:
+        raise ParseError(f"missing fields {missing}", line=last + 1)
 
 
 def deserialize(text: str) -> Configuration:
@@ -270,7 +252,6 @@ def deserialize(text: str) -> Configuration:
     ``d*n != k*m`` raise :class:`ParameterError`.
     """
     fields = {}
-    line = 0
     for key, value, line in read_fields(text, _FIELD_ORDER):
         if key == "wiring":
             if not (value.startswith("[") and value.endswith("]")):
@@ -288,9 +269,6 @@ def deserialize(text: str) -> Configuration:
                 fields[key] = int(value)
             except ValueError:
                 raise ParseError(f"field {key!r} must be an integer", line=line) from None
-    missing = [f for f in _FIELD_ORDER if f not in fields]
-    if missing:
-        raise ParseError(f"missing fields {missing}", line=line + 1)
     params = Params(n=fields["n"], d=fields["d"], k=fields["k"], r=fields["r"])
     if fields["m"] != params.m:
         raise ParameterError(f"stated m={fields['m']} but d*n/k={params.m}")

@@ -214,6 +214,15 @@ def _log_binom(n: int, k_: int) -> float:
     return math.lgamma(n + 1) - math.lgamma(k_ + 1) - math.lgamma(n - k_ + 1)
 
 
+def _log_sum_exp(values) -> float:
+    """ln(sum(exp(values))) as peak + ln(sum(exp(values - peak))); -inf if all are -inf."""
+    values = np.asarray(values)
+    peak = values.max()
+    if peak == -np.inf:
+        return float("-inf")
+    return float(peak + np.log(np.exp(values - peak).sum()))
+
+
 def second_moment_exact_ratio(params: Params) -> LogReal:
     """Exact ln(E[Z^2]/E[Z]^2) as a sum over the integer overlap region.
 
@@ -260,13 +269,8 @@ def second_moment_exact_ratio(params: Params) -> LogReal:
             + t1 * log_pstar[1]
             + t2 * log_pstar[2]
         )
-        terms = log_pv[r1] + log_pf - log_pe[r1]
-        peak = terms.max()
-        if peak > -np.inf:
-            per_r1[r1] = peak + np.log(np.exp(terms - peak).sum())
-    peak = per_r1.max()
-    total = peak + np.log(np.exp(per_r1 - peak).sum())
-    return LogReal(float(total))
+        per_r1[r1] = _log_sum_exp(log_pv[r1] + log_pf - log_pe[r1])
+    return LogReal(_log_sum_exp(per_r1))
 
 
 def second_moment_asymptotic(k: int, d: float) -> float:
@@ -296,11 +300,25 @@ def second_moment_asymptotic(k: int, d: float) -> float:
     return closed
 
 
-def joint_moment_exact(params: Params, l: int) -> LogReal:
-    """Exact ln E[Z * X_l], summing over assignments of the canonical cycle.
+def _word_classes(l: int):
+    """Yield the ``(r1, r2, count)`` classes of the binary words of length l.
 
-    For each binary word y of length l, r1 counts ones and r2 counts
-    ones whose cyclic successor is one.
+    r1 counts ones and r2 ones whose cyclic successor is one.  With
+    0 < r1 < l and j cyclic runs of ones, r2 = r1 - j and the class has
+    l C(r1-1, j-1) C(l-r1-1, j-1) / j words.
+    """
+    yield 0, 0, 1
+    for r1 in range(1, l):
+        for j in range(1, min(r1, l - r1) + 1):
+            yield r1, r1 - j, l * math.comb(r1 - 1, j - 1) * math.comb(l - r1 - 1, j - 1) // j
+    yield l, l, 1
+
+
+def joint_moment_exact(params: Params, l: int) -> LogReal:
+    """Exact ln E[Z * X_l], summing over assignments y of the canonical cycle.
+
+    A summand depends on the binary word y only through its class from
+    :func:`_word_classes`, so each class enters once, plus ln(count).
     """
     _require_r2(params)
     if l < 1:
@@ -327,28 +345,20 @@ def joint_moment_exact(params: Params, l: int) -> LogReal:
         - math.log(2 * l)
         - math.lgamma(dn + 1)
     )
-    terms = []
-    for y in range(1 << l):
-        r1 = bin(y).count("1")
-        succ = ((y >> 1) | ((y & 1) << (l - 1))) if l > 1 else y
-        r2 = bin(y & succ).count("1")
-        t = (
-            base
-            + log_ff(n1, r1)
-            + log_ff(n - n1, l - r1)
-            + log_ff(m, l)
-            + r2 * math.log(2.0)
-            + 2 * (r1 - r2) * math.log(2.0 * (k - 2))
-            + (l - 2 * r1 + r2) * math.log((k - 2.0) * (k - 3.0))
-            + math.lgamma(d * n1 - 2 * r1 + 1)
-            + math.lgamma(d * (n - n1) - 2 * (l - r1) + 1)
-        )
-        terms.append(t)
-    arr = np.array(terms)
-    peak = arr.max()
-    if peak == -np.inf:
-        return LogReal.zero()
-    return LogReal(float(peak + np.log(np.exp(arr - peak).sum())))
+    terms = [
+        base
+        + log_ff(n1, r1)
+        + log_ff(n - n1, l - r1)
+        + log_ff(m, l)
+        + r2 * math.log(2.0)
+        + 2 * (r1 - r2) * math.log(2.0 * (k - 2))
+        + (l - 2 * r1 + r2) * math.log((k - 2.0) * (k - 3.0))
+        + math.lgamma(d * n1 - 2 * r1 + 1)
+        + math.lgamma(d * (n - n1) - 2 * (l - r1) + 1)
+        + math.log(count)
+        for r1, r2, count in _word_classes(l)
+    ]
+    return LogReal(_log_sum_exp(terms))
 
 
 @dataclass(frozen=True)

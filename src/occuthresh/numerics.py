@@ -100,34 +100,9 @@ class Channel:
         return Pmf(self.matrix @ p.weights)
 
 
-def log_factorial(n: int) -> LogReal:
-    """ln(n!) via the log-gamma function."""
-    if n < 0 or n != int(n):
-        raise ParameterError(f"factorial needs a nonnegative integer, got {n}")
-    return LogReal(math.lgamma(n + 1))
-
-
 def log_factorials(n: int) -> np.ndarray:
     """Table of ln(i!) for i = 0..n; entry i is ``lgamma(i + 1)``."""
     return np.array([math.lgamma(i + 1) for i in range(n + 1)])
-
-
-def log_multinomial(n: int, parts) -> LogReal:
-    """ln of the multinomial coefficient n! / prod(parts!).
-
-    The binomial coefficient is the two-part case.  The parts must be
-    nonnegative integers summing to ``n``.
-    """
-    total = 0
-    value = math.lgamma(n + 1)
-    for p in parts:
-        if p < 0 or p != int(p):
-            raise ContractViolation(f"multinomial parts must be nonnegative integers, got {p}")
-        total += p
-        value -= math.lgamma(p + 1)
-    if total != n:
-        raise ContractViolation(f"multinomial parts sum to {total}, expected {n}")
-    return LogReal(value)
 
 
 def binary_entropy(p: float) -> float:
@@ -142,24 +117,15 @@ def binary_entropy(p: float) -> float:
     return out
 
 
-def kl_divergence(p: Pmf, p_star: Pmf) -> float:
-    """KL(p || p_star) in nats; ``+inf`` if p puts mass outside p_star's support.
-
-    The one-row case of :func:`kl_divergence_rows`.
-    """
-    if len(p) != len(p_star):
-        raise ContractViolation(f"pmf lengths differ: {len(p)} vs {len(p_star)}")
-    return float(kl_divergence_rows(p.weights.reshape(1, -1), p_star.weights)[0])
-
-
 def kl_divergence_rows(ps: np.ndarray, p_star: np.ndarray) -> np.ndarray:
     """Row-wise KL(ps[i] || p_star) for a matrix of pmfs; vectorized.
 
-    Computed as the sum of the elementwise terms ``p ln(p/q) - p + q``,
-    which equals the usual sum of ``p ln(p/q)`` for normalized inputs but,
-    written via log1p of the exactly-cancelling difference, does not lose
-    precision when the two pmfs nearly coincide.  Rows with mass on a
-    zero of ``p_star`` come out ``+inf``.
+    Sums the terms ``p ln(p/q) - p + q``, written ``p log1p(d/q) - d``
+    with ``d = p - q`` so that no rounding of ``p/q`` enters the log.
+    Each term still cancels its own O(d) part, so the relative error is
+    about ``1e-16 / |p - q|`` (1e-12 at a separation of 1e-4), and a row
+    very close to ``p_star`` can come out slightly negative (near -1e-32).
+    Rows with mass on a zero of ``p_star`` come out ``+inf``.
     """
     ps = np.asarray(ps, dtype=float)
     q = np.asarray(p_star, dtype=float)

@@ -479,7 +479,6 @@ def format_channel(p_star: Pmf, channel: Channel) -> str:
 def parse_channel(text: str) -> tuple[Pmf, Channel]:
     """Parse the channel/pmf document; '#' lines are comments."""
     fields = {}
-    line = 0
     for key, value, line in read_fields(text, _CHANNEL_FIELDS):
         try:
             if key in ("n_in", "n_out"):
@@ -493,9 +492,6 @@ def parse_channel(text: str) -> tuple[Pmf, Channel]:
             raise ParseError(f"could not parse value for {key!r}", line=line) from None
         if key in ("n_in", "n_out") and fields[key] < 1:
             raise ParseError(f"{key} must be >= 1, got {fields[key]}", line=line)
-    missing = [f for f in _CHANNEL_FIELDS if f not in fields]
-    if missing:
-        raise ParseError(f"missing fields {missing}", line=line + 1)
     n_in, n_out = fields["n_in"], fields["n_out"]
     if len(fields["matrix"]) != n_in * n_out:
         raise ParseError(f"matrix needs {n_in * n_out} entries, got {len(fields['matrix'])}", line=line)

@@ -10,15 +10,19 @@ The sampler's reference is the scalar Fisher-Yates loop, one stream
 output and one rejection test at a time, and the cycle census's is a
 recursive walk, one Python call per visited variable.  The exact
 second moment's reference takes its vertex and edge factors one overlap
-r1 at a time, four scalar log-binomials each.  A contraction
-coefficient is bracketed by two closed forms that share no code with its
-search: the chi-square coefficient below and the Dobrushin coefficient
-above.
+r1 at a time, four scalar log-binomials each, and the exact joint
+moment E[Z X_l]'s reference takes one summand for each of the 2^l
+binary words on the l-cycle.  Redundant constraint pairs are tallied row by row in a Counter.
+A contraction coefficient is bracketed by two closed forms that share
+no code with its search: the chi-square coefficient below and the
+Dobrushin coefficient above.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -277,3 +281,54 @@ def second_moment_ratio_reference(params: Params) -> float:
             per_r1[r1] = peak + np.log(np.exp(terms - peak).sum())
     peak = per_r1.max()
     return float(peak + np.log(np.exp(per_r1 - peak).sum()))
+
+
+def count_redundant_constraints(cfg: Configuration) -> int:
+    """Unordered pairs of constraints on identical sets of k distinct variables."""
+    k = cfg.params.k
+    tallies: Counter = Counter()
+    for row in np.sort(cfg.constraint_members(), axis=1):
+        if len(set(row.tolist())) == k:
+            tallies[tuple(row.tolist())] += 1
+    return sum(c * (c - 1) // 2 for c in tallies.values())
+
+
+def joint_moment_reference(params: Params, l: int) -> float:
+    """ln E[Z X_l] with one summand per binary word y of the l-cycle.
+
+    r1 counts the ones of y and r2 the ones whose cyclic successor is
+    one.  The parameters must pass ``joint_moment_exact``'s checks.
+    """
+    n, d, k, m = params.n, params.d, params.k, params.m
+    n1 = ones_quota(params)
+    dn = d * n
+
+    def log_ff(a: int, b: int) -> float:
+        return math.lgamma(a + 1) - math.lgamma(a - b + 1) if b <= a else float("-inf")
+
+    base = (
+        math.lgamma(n + 1) - math.lgamma(n1 + 1) - math.lgamma(n - n1 + 1)
+        + m * math.log(k * (k - 1) / 2.0)
+        + l * math.log(d * (d - 1))
+        - math.log(2 * l)
+        - math.lgamma(dn + 1)
+    )
+    terms = []
+    for y in range(1 << l):
+        r1 = bin(y).count("1")
+        succ = ((y >> 1) | ((y & 1) << (l - 1))) if l > 1 else y
+        r2 = bin(y & succ).count("1")
+        terms.append(
+            base
+            + log_ff(n1, r1)
+            + log_ff(n - n1, l - r1)
+            + log_ff(m, l)
+            + r2 * math.log(2.0)
+            + 2 * (r1 - r2) * math.log(2.0 * (k - 2))
+            + (l - 2 * r1 + r2) * math.log((k - 2.0) * (k - 3.0))
+            + math.lgamma(d * n1 - 2 * r1 + 1)
+            + math.lgamma(d * (n - n1) - 2 * (l - r1) + 1)
+        )
+    arr = np.array(terms)
+    peak = arr.max()
+    return float(peak + np.log(np.exp(arr - peak).sum())) if peak > -np.inf else float("-inf")

@@ -13,6 +13,8 @@ from occuthresh.errors import CertificateError
 from occuthresh.numerics import Channel, Pmf
 from occuthresh.sdpi import format_channel
 
+from tests.case_limit import time_limit
+
 
 def data_section(path) -> list[str]:
     return [line for line in path.read_text().splitlines() if not line.startswith("#")]
@@ -120,6 +122,13 @@ class TestMoments:
         out = capsys.readouterr().out
         assert "ln_EZ_exact = -inf" in out
         assert "ln_ratio_exact = nan" in out
+
+    def test_long_cycle_exact_finishes(self, capsys):
+        """l = 40 passes the size checks; its sum has 2^40 words but few classes."""
+        argv = ["moments", "--k", "4", "--d", "2", "--n", "80", "--l", "40", "--exact"]
+        with time_limit(argv):
+            assert run(argv) == 0
+        assert "ln_EZXl = " in capsys.readouterr().out
 
 
 class TestSampleAndCount:

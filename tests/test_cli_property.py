@@ -58,7 +58,7 @@ def commands(channel: str, cfg: str, missing: str) -> dict:
         },
         "moments": {
             "--k": ("4", KS), "--d": ("2", DS), "--n": ("40", past(ints(-2, 80))),
-            "--l": ("1", past(ints(-1, 5))), "--exact": (FLAG, st.just(OMIT)),
+            "--l": ("1", past(ints(-1, 40))), "--exact": (FLAG, st.just(OMIT)),
         },
         "sdpi": {
             "--channel": (channel, paths), "--grid-depth": ("20", past(ints(-1, 40))),

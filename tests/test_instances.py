@@ -13,7 +13,6 @@ from occuthresh.instances import (
     Configuration,
     Params,
     child_seed,
-    count_redundant_constraints,
     count_two_cycles,
     deserialize,
     expected_redundant_exact,
@@ -21,9 +20,8 @@ from occuthresh.instances import (
     sample_simple,
     serialize,
     splitmix64_outputs,
-    to_factor_graph,
 )
-from tests.oracles import fisher_yates_reference
+from tests.oracles import count_redundant_constraints, fisher_yates_reference
 
 
 def identity_config() -> Configuration:
@@ -117,15 +115,16 @@ class TestSampling:
 
 
 class TestFactorGraph:
+    """Constraint neighborhoods, as ``constraint_members`` gives them."""
+
     def test_identity_wiring_neighbors(self):
-        fg = to_factor_graph(identity_config())
-        assert fg.neighbors.tolist() == [[0, 0, 1, 1], [2, 2, 3, 3]]
+        assert identity_config().constraint_members().tolist() == [[0, 0, 1, 1], [2, 2, 3, 3]]
 
     def test_degrees_preserved(self):
         for seed in range(10):
             p = Params(n=12, d=3, k=4, r=2)
-            fg = to_factor_graph(sample_configuration(p, seed))
-            counts = np.bincount(fg.neighbors.ravel(), minlength=p.n)
+            members = sample_configuration(p, seed).constraint_members()
+            counts = np.bincount(members.ravel(), minlength=p.n)
             assert np.all(counts == p.d)
 
     def test_handcrafted_instance(self):
@@ -133,8 +132,7 @@ class TestFactorGraph:
         # variable i sends slot 2i to constraint 0 and slot 2i+1 to constraint 1.
         p = Params(n=3, d=2, k=3, r=2)
         cfg = Configuration(p, np.array([0, 3, 1, 4, 2, 5]))
-        fg = to_factor_graph(cfg)
-        assert fg.neighbors.tolist() == [[0, 1, 2], [0, 1, 2]]
+        assert cfg.constraint_members().tolist() == [[0, 1, 2], [0, 1, 2]]
 
 
 class TestTwoCycles:
@@ -183,11 +181,11 @@ class TestRedundantConstraints:
     def test_pair_on_distinct_variables(self):
         # Each variable wired once into each constraint: v(0) = v(1) = {0,1,2,3}.
         cfg = Configuration(Params(n=4, d=2, k=4, r=2), np.array([0, 4, 1, 5, 2, 6, 3, 7]))
-        assert count_redundant_constraints(to_factor_graph(cfg)) == 1
+        assert count_redundant_constraints(cfg) == 1
 
     def test_identity_wiring_has_none(self):
         # Neighbor multisets carry repeats, so they never count.
-        assert count_redundant_constraints(to_factor_graph(identity_config())) == 0
+        assert count_redundant_constraints(identity_config()) == 0
 
     def test_ensemble_mean_exact(self, exhaustive):
         assert exhaustive["mean_redundant"] == Fraction(8, 35)
@@ -196,7 +194,7 @@ class TestRedundantConstraints:
         p = Params(n=4, d=2, k=4, r=2)
         trials = 20_000
         total = sum(
-            count_redundant_constraints(to_factor_graph(sample_configuration(p, child_seed(5, t))))
+            count_redundant_constraints(sample_configuration(p, child_seed(5, t)))
             for t in range(trials)
         )
         mean = total / trials
@@ -258,13 +256,16 @@ class TestSerialization:
         assert err.value.line == 1
 
     def test_missing_fields(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match=r"missing fields \['k', 'r', 'm', 'wiring'\]") as err:
             deserialize("n = 4\nd = 2\n")
+        assert err.value.line == 3
 
     def test_non_integer(self):
+        # reported before the fields missing after it
         text = "n = four\n"
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match="must be an integer") as err:
             deserialize(text)
+        assert err.value.line == 1
 
     def test_comments_ignored(self):
         text = "# manifest: seed = 1\n" + serialize(identity_config())

@@ -1,6 +1,7 @@
 """Thresholds, free-entropy densities, and exact moment identities."""
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ from occuthresh.instances import Params
 from occuthresh.moments import (
     Hessian2,
     OverlapPoint,
+    _word_classes,
     first_moment_asymptotic,
     first_moment_exact,
     hessian_phi2,
@@ -30,7 +32,7 @@ from occuthresh.moments import (
 from occuthresh.numerics import kl_divergence_rows
 from occuthresh.cycles import delta_l, lambda_l, mu_l
 
-from tests.oracles import second_moment_ratio_reference
+from tests.oracles import joint_moment_reference, second_moment_ratio_reference
 
 
 class TestThreshold:
@@ -288,6 +290,29 @@ class TestJointMoment:
 
     def test_fractional_quota_flag(self):
         assert joint_moment_exact(Params(n=3, d=4, k=4, r=2), 1).is_zero
+
+    @pytest.mark.parametrize(
+        "n, d, k, l_max",
+        # (2, 4, 4): n1 = 1, so the words with two ones have falling factorial (n1)_2 = 0.
+        [(40, 2, 4, 12), (60, 3, 4, 12), (60, 3, 6, 12), (100, 4, 8, 12), (90, 5, 10, 12), (2, 4, 4, 2)],
+    )
+    def test_matches_word_by_word_sum(self, n, d, k, l_max):
+        params = Params(n=n, d=d, k=k, r=2)
+        assert joint_moment_exact(params, 1).value == joint_moment_reference(params, 1)
+        for l in range(2, l_max + 1):
+            assert math.isclose(
+                joint_moment_exact(params, l).value, joint_moment_reference(params, l), rel_tol=1e-13
+            )
+
+    def test_word_classes_partition_all_words(self):
+        for l in range(1, 31):
+            assert sum(count for _, _, count in _word_classes(l)) == 2**l
+        for l in range(1, 13):
+            tally = Counter()
+            for y in range(1 << l):
+                succ = ((y >> 1) | ((y & 1) << (l - 1))) if l > 1 else y
+                tally[bin(y).count("1"), bin(y & succ).count("1")] += 1
+            assert {(r1, r2): c for r1, r2, c in _word_classes(l)} == tally
 
 
 class TestVarianceExplained:

@@ -572,8 +572,10 @@ class TestChannelFiles:
             parse_channel("n_in = 2\nn_out = 2\nmatrix = [1, 0]\np_star = [0.5, 0.5]\n")
         with pytest.raises(ParseError):
             parse_channel("n_out = 2\n")
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match="line 2: could not parse value for 'n_out'"):
             parse_channel("n_in = 2\nn_out = two\n")
+        with pytest.raises(ParseError, match=r"line 3: missing fields \['matrix', 'p_star'\]"):
+            parse_channel("n_in = 2\nn_out = 2\n")
         with pytest.raises(ParseError, match="line 2: n_out must be >= 1, got -1"):
             parse_channel("n_in = 2\nn_out = -1\nmatrix = []\np_star = []\n")
 
