@@ -12,10 +12,12 @@ Frontiers are cut into pieces of a fixed number of rows, taken
 depth-first, so the frontier's peak memory depends on that cap and l_max
 but not on n.
 
-For l <= 2 a vectorized pair-count evaluates the same quantities from
-edge multiplicities; it is property-tested against the walk enumeration
-and used by the Monte Carlo driver, where censuses of many samples run
-in parallel over sample seeds.
+For l <= 2 a pair count evaluates the same quantities from equal keys
+in row-sorted blocks of configurations; it is property-tested against
+the walk enumeration.  The Monte Carlo driver samples and censuses
+blocks of seeds, several in parallel, and gathers them in sample order,
+so its output does not depend on the worker count, and its memory is set
+by the block size, not by the number of samples.
 """
 
 from __future__ import annotations
@@ -26,7 +28,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, ParameterError
-from .instances import Configuration, Params, child_seed, count_two_cycles, sample_configuration
+from .instances import (
+    Configuration,
+    Params,
+    _block_rows,
+    _check_permutations,
+    _equal_pairs,
+    _permutations,
+    _two_cycle_counts,
+    splitmix64_outputs,
+)
 from .numerics import log_factorials
 from .parallel import parallel_map
 
@@ -112,41 +123,47 @@ def _census_walk(cfg: Configuration, l_max: int) -> tuple:
     return tuple(counts)
 
 
-def _census_pairs(cfg: Configuration, l_max: int) -> tuple:
-    # l=1: pairs of parallel edges between one variable and one constraint.
-    # l=2: sum over variable pairs {v1,v2} and constraint pairs {a1,a2} of
-    # the product of edge multiplicities, evaluated as (S^2 - Q)/2 with
-    # S = sum_a M[v1,a]M[v2,a] and Q the sum of squares.
-    counts = [count_two_cycles(cfg)]
+def _census_pairs(params: Params, wirings: np.ndarray, l_max: int) -> np.ndarray:
+    """(rows, l_max) counts for l_max <= 2 of each row of a block of wirings.
+
+    l=1: pairs of parallel edges between one variable and one constraint.
+    l=2: pairs of member-pair entries {v1 < v2} of two constraints that
+    name the same two variables, i.e. the pairs of entries with equal
+    (v1, v2) less those with equal (v1, v2, constraint).
+    """
+    p = params
+    rows = len(wirings)
+    counts = np.empty((rows, l_max), dtype=np.int64)
+    counts[:, 0] = _two_cycle_counts(p, wirings)
     if l_max >= 2:
-        p = cfg.params
-        members = np.sort(cfg.constraint_members(), axis=1)
+        inverse = np.empty_like(wirings)
+        inverse[np.arange(rows)[:, None], wirings] = np.arange(p.n_slots)
+        members = np.sort((inverse // p.d).reshape(rows, p.m, p.k), axis=2)
         ii, jj = np.triu_indices(p.k, k=1)
-        v1 = members[:, ii].ravel().astype(np.int64)
-        v2 = members[:, jj].ravel().astype(np.int64)
-        cons = np.repeat(np.arange(p.m, dtype=np.int64), ii.size)
-        distinct = v1 != v2
-        pair_key = v1[distinct] * p.n + v2[distinct]
-        key_con = pair_key * p.m + cons[distinct]
-        uniq, mult = np.unique(key_con, return_counts=True)
-        per_pair = uniq // p.m
-        pairs, inverse = np.unique(per_pair, return_inverse=True)
-        s = np.bincount(inverse, weights=mult.astype(float))
-        q = np.bincount(inverse, weights=(mult * mult).astype(float))
-        counts.append(int(round(((s * s - q) / 2.0).sum())))
-    return tuple(counts)
+        v1, v2 = members[:, :, ii], members[:, :, jj]
+        entries = p.m * ii.size
+        # keys (v1*n + v2)*m + a, sorted by (v1, v2) and then a; an entry
+        # with v1 == v2 gets a key of its own past n*n*m, so it pairs with none
+        dtype = np.int32 if (p.n * p.n + entries) * p.m < 2**31 else np.int64
+        cons = np.arange(p.m, dtype=dtype)[:, None]
+        own = ((p.n * p.n + np.arange(entries, dtype=dtype)) * p.m).reshape(p.m, ii.size)
+        keys = np.where(v1 == v2, own, (v1 * p.n + v2).astype(dtype) * p.m + cons)
+        keys = np.sort(keys.reshape(rows, entries), axis=1)
+        counts[:, 1] = _equal_pairs(keys // p.m) - _equal_pairs(keys)
+    return counts
 
 
 def count_cycles(cfg: Configuration, l_max: int) -> CycleCensus:
     """Census of 2l-cycles for l = 1 .. l_max.
 
-    Multiplicity counting for l_max <= 2, above that a breadth-wise
-    enumeration of directed rooted walks over a numpy frontier.
+    A pair count for l_max <= 2, above that a breadth-wise enumeration
+    of directed rooted walks over a numpy frontier.
     """
     if l_max < 1:
         raise ParameterError(f"need l_max >= 1, got {l_max}")
     if l_max <= 2:
-        return CycleCensus(_census_pairs(cfg, l_max))
+        counts = _census_pairs(cfg.params, cfg.wiring[None, :], l_max)[0]
+        return CycleCensus(tuple(counts.tolist()))
     return CycleCensus(_census_walk(cfg, l_max))
 
 
@@ -260,10 +277,13 @@ def pair_correlation(samples, l_a: int, l_b: int) -> float:
     return float(np.corrcoef(xs, ys)[0, 1])
 
 
-def _census_task(args) -> tuple:
-    n, d, k, r, seed, l_max = args
-    cfg = sample_configuration(Params(n=n, d=d, k=k, r=r), seed)
-    return count_cycles(cfg, l_max).counts
+def _census_block(args) -> list:
+    params, seeds, l_max = args
+    wirings = _permutations(seeds, params.n_slots)
+    _check_permutations(wirings)
+    if l_max <= 2:
+        return _census_pairs(params, wirings, l_max).tolist()
+    return [_census_walk(Configuration(params, w), l_max) for w in wirings]
 
 
 def census_samples(
@@ -278,10 +298,21 @@ def census_samples(
 ) -> list[CycleCensus]:
     """Censuses of ``samples`` independent configurations.
 
-    Sample ``i`` runs on ``child_seed(seed, i)``; gathering is by sample
-    index, so results do not depend on the worker count.
+    Sample ``i`` runs on ``child_seed(seed, i)``.  Samples are drawn and
+    censused in blocks of consecutive indices, gathered in sample order,
+    so results do not depend on the worker count.
     """
     if samples < 1:
         raise ParameterError(f"need samples >= 1, got {samples}")
-    tasks = [(n, d, k, r, child_seed(seed, i), l_max) for i in range(samples)]
-    return [CycleCensus(c) for c in parallel_map(_census_task, tasks, threads)]
+    if l_max < 1:
+        raise ParameterError(f"need l_max >= 1, got {l_max}")
+    params = Params(n=n, d=d, k=k, r=r)
+    # at least one block per worker while blocks stay within the cap
+    rows = min(_block_rows(params), -(-samples // max(1, threads)))
+    # child seeds lo .. hi-1 of the master seed, one block each
+    tasks = [
+        (params, splitmix64_outputs(seed, lo, min(rows, samples - lo)), l_max)
+        for lo in range(0, samples, rows)
+    ]
+    blocks = parallel_map(_census_block, tasks, threads)
+    return [CycleCensus(tuple(counts)) for block in blocks for counts in block]

@@ -8,12 +8,19 @@ Fisher-Yates shuffle (Knuth, TAOCP vol. 2, Algorithm P) whose bounded
 draws come from the SplitMix64 stream of the seed (Steele, Lea & Flood,
 OOPSLA 2014) by rejection below the largest multiple of each bound.  The
 stream is a pure function of (seed, index), so identical seeds give
-identical instances on every platform, and a shuffle takes all of its
-draws in one array.
+identical instances on every platform.
+
+Shuffles run a block of seeds at a time: the draws of every seed form
+one array, and each Fisher-Yates step swaps across all of the block's
+rows at once.  A configuration drawn alone is the block of its one seed,
+so it has the bits it has in any block.  Callers with many seeds
+(``sample_simple``, the cycle census, satisfiability sweeps) draw them in
+blocks of ``_block_rows`` rows, which bounds memory by the block, not by
+the number of seeds.
 
 Seed splitting: child ``i`` of a master seed is the ``(i+1)``-st output
 of the SplitMix64 sequence started at the master seed.  Callers
-parallelize by handing each task its own child seed.
+parallelize by handing each task its own child seeds.
 """
 
 from __future__ import annotations
@@ -41,11 +48,16 @@ def _mix64_array(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def splitmix64_outputs(seed: int, start: int, count: int) -> np.ndarray:
-    """Outputs ``start .. start+count-1`` of the SplitMix64 stream."""
-    idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    states = np.uint64(seed & _M64) + idx * np.uint64(_GOLDEN)
-    return _mix64_array(states)
+def splitmix64_outputs(seed, start: int, count: int) -> np.ndarray:
+    """Outputs ``start .. start+count-1`` of the SplitMix64 stream of ``seed``.
+
+    ``seed`` is an int, or a uint64 array of seeds, which gives one row
+    of outputs per seed.
+    """
+    steps = np.arange(start + 1, start + count + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+    if isinstance(seed, np.ndarray):
+        return _mix64_array(seed[:, None] + steps)
+    return _mix64_array(np.uint64(seed & _M64) + steps)
 
 
 def child_seed(master: int, index: int) -> int:
@@ -55,30 +67,43 @@ def child_seed(master: int, index: int) -> int:
     return int(splitmix64_outputs(master, index, 1)[0])
 
 
-def _permutation(seed: int, n: int) -> np.ndarray:
-    """Uniform permutation of range(n): Fisher-Yates on the stream of ``seed``.
+def _permutations(seeds, n: int) -> np.ndarray:
+    """Uniform permutations of range(n), one row per seed: Fisher-Yates on its stream.
 
     Step ``i = n-1 .. 1`` swaps slot ``i`` with slot ``u mod (i+1)``,
     where ``u`` is the next stream output at most ``top``: one less than
     the largest multiple of ``i+1`` up to 2^64.  Outputs above ``top``
-    are skipped, so every residue is equally likely.  All draws are
-    tested at once: the first rejected one is dropped, the later ones
-    move up a step, the next stream output joins at the end, and the
-    test runs again.
+    are skipped, so every residue is equally likely.  The draws of all
+    seeds are tested at once; in a row with a rejected draw the first
+    one is dropped, the later ones move up a step, the next stream
+    output joins at the end, and the test runs again.  Each step then
+    swaps across all rows at once, on an (n, seeds) array that is
+    transposed at the end.
     """
+    seeds = np.asarray(seeds, dtype=np.uint64)
     bounds = np.arange(n, 1, -1).astype(np.uint64)
     top = ~((np.uint64(0) - bounds) % bounds)
-    draws = splitmix64_outputs(seed, 0, n - 1)
-    read = n - 1
-    rejected = np.flatnonzero(draws > top)
-    while rejected.size:
-        draws = np.append(np.delete(draws, rejected[0]), splitmix64_outputs(seed, read, 1))
-        read += 1
-        rejected = np.flatnonzero(draws > top)
-    arr = list(range(n))
-    for i, j in zip(range(n - 1, 0, -1), (draws % bounds).tolist()):
-        arr[i], arr[j] = arr[j], arr[i]
-    return np.asarray(arr, dtype=np.int64)
+    draws = splitmix64_outputs(seeds, 0, n - 1)
+    for row in np.flatnonzero((draws > top).any(axis=1)):
+        seed, row_draws, read = int(seeds[row]), draws[row], n - 1
+        rejected = np.flatnonzero(row_draws > top)
+        while rejected.size:
+            kept = np.delete(row_draws, rejected[0])
+            row_draws = np.append(kept, splitmix64_outputs(seed, read, 1))
+            read += 1
+            rejected = np.flatnonzero(row_draws > top)
+        draws[row] = row_draws
+    # grid[i, c] is slot i of row c; picks[t, c] is the flat index in grid
+    # of the slot that step t swaps with slot n-1-t of row c.
+    rows = seeds.size
+    picks = (draws % bounds).T.astype(np.int64) * rows + np.arange(rows)
+    slots = np.repeat(np.arange(n, dtype=np.int64), rows)
+    grid = slots.reshape(n, rows)
+    for i, pick in zip(range(n - 1, 0, -1), picks):
+        held = slots[pick]
+        slots[pick] = grid[i]
+        grid[i] = held
+    return np.ascontiguousarray(grid.T)
 
 
 @dataclass(frozen=True)
@@ -111,6 +136,17 @@ class Params:
         return self.d * self.n
 
 
+def _check_permutations(wirings: np.ndarray):
+    """Raise ParameterError unless every row of ``wirings`` permutes range(row length)."""
+    rows, slots = wirings.shape
+    if wirings.min() < 0 or wirings.max() >= slots:
+        raise ParameterError("wiring entries out of range")
+    seen = np.zeros((rows, slots), dtype=bool)
+    seen[np.arange(rows)[:, None], wirings] = True
+    if not seen.all():
+        raise ParameterError("wiring is not a permutation")
+
+
 @dataclass(frozen=True)
 class Configuration:
     """A bijection from v-edges to f-edges, stored as a flat permutation."""
@@ -124,12 +160,7 @@ class Configuration:
         slots = self.params.n_slots
         if w.shape != (slots,):
             raise ParameterError(f"wiring must have length {slots}, got shape {w.shape}")
-        seen = np.zeros(slots, dtype=bool)
-        if w.min() < 0 or w.max() >= slots:
-            raise ParameterError("wiring entries out of range")
-        seen[w] = True
-        if not seen.all():
-            raise ParameterError("wiring is not a permutation")
+        _check_permutations(w[None, :])
 
     def inverse_wiring(self) -> np.ndarray:
         inv = np.empty_like(self.wiring)
@@ -142,33 +173,69 @@ class Configuration:
         return (self.inverse_wiring() // p.d).reshape(p.m, p.k)
 
 
+# Cap on rows * n_slots * k for a block of seeds drawn at once.  The l <= 2
+# census of a row builds about k*n_slots/2 member-pair keys, so a block's
+# memory stays bounded whatever the number of seeds.
+_BLOCK_ENTRIES = 1 << 18
+
+
+def _block_rows(params: Params) -> int:
+    """Rows of a block of sampled configurations."""
+    return max(1, _BLOCK_ENTRIES // (params.n_slots * params.k))
+
+
 def sample_configuration(params: Params, seed: int) -> Configuration:
     """Uniform configuration via seeded Fisher-Yates on the d*n slots."""
-    return Configuration(params, _permutation(seed, params.n_slots))
+    return Configuration(params, _permutations([seed & _M64], params.n_slots)[0])
+
+
+def _equal_pairs(rows: np.ndarray) -> np.ndarray:
+    """Per row of a row-sorted block, the number of pairs of equal entries.
+
+    A run of c equal entries holds c - g pairs at distance g, and these
+    sum to c(c-1)/2 over g >= 1; no pair at distance g means no run
+    longer than g.
+    """
+    total = np.zeros(len(rows), dtype=np.int64)
+    for g in range(1, rows.shape[1]):
+        equal = rows[:, g:] == rows[:, :-g]
+        if not equal.any():
+            break
+        total += equal.sum(axis=1)
+    return total
+
+
+def _two_cycle_counts(params: Params, wirings: np.ndarray) -> np.ndarray:
+    """Two-cycles of each row of a block: pairs of equal (variable, constraint) keys."""
+    p = params
+    var_of_slot = np.arange(p.n_slots, dtype=np.int64) // p.d
+    keys = var_of_slot * p.m + wirings // p.k
+    return _equal_pairs(np.sort(keys, axis=1))
 
 
 def count_two_cycles(cfg: Configuration) -> int:
     """Pairs of v-edges of one variable wired to f-edges of one constraint."""
-    p = cfg.params
-    con_of_slot = cfg.wiring // p.k
-    var_of_slot = np.arange(p.n_slots, dtype=np.int64) // p.d
-    keys = var_of_slot * p.m + con_of_slot
-    _, counts = np.unique(keys, return_counts=True)
-    return int((counts * (counts - 1) // 2).sum())
+    return int(_two_cycle_counts(cfg.params, cfg.wiring[None, :])[0])
 
 
 def sample_simple(params: Params, seed: int, max_attempts: int = 1000) -> Configuration:
     """Rejection-sample a configuration with no two-cycles.
 
     Attempt ``i`` uses child seed ``i`` of ``seed``, so the accepted
-    instance is a deterministic function of the master seed.
+    instance is a deterministic function of the master seed.  Attempts
+    are drawn a block at a time, never past ``max_attempts``, and the
+    first one without a two-cycle is accepted.
     """
     if max_attempts < 1:
         raise ParameterError(f"need max_attempts >= 1, got {max_attempts}")
-    for attempt in range(max_attempts):
-        cfg = sample_configuration(params, child_seed(seed, attempt))
-        if count_two_cycles(cfg) == 0:
-            return cfg
+    rows = _block_rows(params)
+    for lo in range(0, max_attempts, rows):
+        # child seeds lo .. lo+count-1 of the master seed
+        seeds = splitmix64_outputs(seed, lo, min(rows, max_attempts - lo))
+        wirings = _permutations(seeds, params.n_slots)
+        simple = np.flatnonzero(_two_cycle_counts(params, wirings) == 0)
+        if simple.size:
+            return Configuration(params, wirings[simple[0]])
     raise RetryLimitError(
         f"no simple configuration in {max_attempts} attempts", attempts=max_attempts
     )

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, ContractViolation, ParameterError
-from .instances import Configuration, Params, child_seed, sample_configuration
+from .instances import Configuration, Params, _permutations, child_seed, splitmix64_outputs
 from .parallel import parallel_map
 
 ENUMERATION_CAP = 32
@@ -201,8 +201,7 @@ def _wilson_interval(successes: int, trials: int) -> tuple[float, float]:
 
 
 def _sat_trial(args) -> bool:
-    n, d, k, r, seed, cap = args
-    cfg = sample_configuration(Params(n=n, d=d, k=k, r=r), seed)
+    cfg, cap = args
     return has_solution(cfg, cap=cap)
 
 
@@ -224,15 +223,17 @@ def estimate_sat_probability(
     """
     if trials < 1:
         raise ParameterError(f"need trials >= 1, got {trials}")
+    families = []  # every n validated up front
     for n in n_list:
         _check_cap(n, cap)
-        Params(n=n, d=d, k=k, r=r)  # validate the family up front
-    # every (n, trial) task in one map, so one worker pool serves all of n_list
-    tasks = [
-        (n, d, k, r, child_seed(child_seed(seed, i), t), cap)
-        for i, n in enumerate(n_list)
-        for t in range(trials)
-    ]
+        families.append(Params(n=n, d=d, k=k, r=r))
+    # each n's wirings in one draw; every (n, trial) task in one map, so
+    # one worker pool serves all of n_list
+    tasks = []
+    for i, params in enumerate(families):
+        trial_seeds = splitmix64_outputs(child_seed(seed, i), 0, trials)  # child t of child i
+        wirings = _permutations(trial_seeds, params.n_slots)
+        tasks += [(Configuration(params, w), cap) for w in wirings]
     outcomes = parallel_map(_sat_trial, tasks, threads)
     rows = []
     for i, n in enumerate(n_list):

@@ -97,7 +97,7 @@ class TestCycles:
         def unexpected(*args, **kwargs):
             raise AssertionError("a configuration was sampled")
 
-        monkeypatch.setattr(cycles, "sample_configuration", unexpected)
+        monkeypatch.setattr(cycles, "_permutations", unexpected)
         assert run(["cycles", "--k", "4", "--d", "3", "--n", "400", "--samples", "1",
                     "--seed", "3", "--l-max", "4", "--threads", "1"]) == 2
         assert "--samples >= 2" in capsys.readouterr().err
@@ -129,6 +129,13 @@ class TestMoments:
         with time_limit(argv):
             assert run(argv) == 0
         assert "ln_EZXl = " in capsys.readouterr().out
+
+    def test_exact_over_term_limit_exits_2(self, capsys):
+        """n = 200000 would sum 2.5e9 overlap terms; it is refused, not run."""
+        argv = ["moments", "--k", "4", "--d", "2", "--n", "200000", "--exact"]
+        with time_limit(argv):
+            assert run(argv) == 2
+        assert "sums 2500100001 overlap terms" in capsys.readouterr().err
 
 
 class TestSampleAndCount:

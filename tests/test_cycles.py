@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from occuthresh import cycles
+from occuthresh import cycles, instances
 from occuthresh.errors import ContractViolation, ParameterError
 from occuthresh.instances import (
     Configuration,
@@ -56,7 +56,7 @@ class TestCensus:
         for i, (n, d, k) in enumerate([(8, 2, 4), (12, 3, 4), (20, 3, 5), (30, 2, 3)]):
             for t in range(4):
                 cfg = sample_configuration(Params(n=n, d=d, k=k, r=1), child_seed(120 + i, t))
-                assert cycles._census_walk(cfg, 2) == cycles._census_pairs(cfg, 2)
+                assert cycles._census_walk(cfg, 2) == count_cycles(cfg, 2).counts
 
     @pytest.mark.parametrize(
         "n,d,k,seeds",
@@ -82,6 +82,17 @@ class TestCensus:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+    def test_census_memory_is_bounded(self):
+        # One block of all 2000 samples allocates about 150 MB here.
+        census_samples(k=4, d=3, n=400, samples=10, seed=62, l_max=2)
+        tracemalloc.start()
+        try:
+            census_samples(k=4, d=3, n=400, samples=2000, seed=62, l_max=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_l_max_validated(self):
         with pytest.raises(ParameterError):
@@ -172,6 +183,24 @@ class TestCensusSampling:
         a = census_samples(k=4, d=3, n=60, samples=50, seed=3, l_max=2, threads=1)
         b = census_samples(k=4, d=3, n=60, samples=50, seed=3, l_max=2, threads=3)
         assert [c.counts for c in a] == [c.counts for c in b]
+
+    @pytest.mark.parametrize("n,d,k", [(400, 3, 4), (12, 2, 4), (8, 2, 2), (20, 4, 4)])
+    @pytest.mark.parametrize("l_max", [1, 2, 4])
+    def test_blocks_match_one_sample_at_a_time(self, monkeypatch, n, d, k, l_max):
+        # The small families are full of parallel edges and repeated constraints.
+        p = Params(n=n, d=d, k=k, r=1)
+        if n == 400 and l_max <= 2:
+            samples = instances._block_rows(p) + 6
+        else:  # blocks of 3 or 5 rows, so a few samples fill several
+            rows, samples = (3, 7) if n == 400 else (5, 23)
+            monkeypatch.setattr(instances, "_BLOCK_ENTRIES", rows * p.n_slots * k)
+        assert samples % instances._block_rows(p) != 0  # a partial last block
+        got = census_samples(k=k, d=d, n=n, samples=samples, seed=n + l_max, l_max=l_max, r=1)
+        assert len(got) == samples
+        for i, census in enumerate(got):
+            cfg = sample_configuration(p, child_seed(n + l_max, i))
+            want = census_walk_reference(cfg, l_max) if n <= 20 else cycles._census_walk(cfg, l_max)
+            assert census.counts == want, i
 
     def test_sample_count_validated(self):
         with pytest.raises(ParameterError):

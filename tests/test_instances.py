@@ -1,13 +1,13 @@
 """Instance generation, structure counts, and serialization."""
 
 import math
-from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from occuthresh import instances
+from occuthresh.cycles import census_samples
 from occuthresh.errors import ParameterError, ParseError, RetryLimitError
 from occuthresh.instances import (
     Configuration,
@@ -58,27 +58,68 @@ _ALL_ONES = np.uint64((1 << 64) - 1)  # rejected below every bound but powers of
 
 
 def _stream_with_rejections(seed, start, count):
-    """The SplitMix64 stream with ``2^64 - 1`` at every 5th index and at 30..41."""
+    """The SplitMix64 stream with ``2^64 - 1`` at every 5th index and at 30..41.
+
+    ``seed`` is an int or a uint64 array of seeds, as for ``splitmix64_outputs``.
+    """
     out = splitmix64_outputs(seed, start, count)
     idx = np.arange(start, start + count)
-    out[(idx % 5 == 0) | ((idx >= 30) & (idx <= 41))] = _ALL_ONES
+    out[..., (idx % 5 == 0) | ((idx >= 30) & (idx <= 41))] = _ALL_ONES
     return out
+
+
+def _stream_rejecting_odd_seeds(seed, start, count):
+    """``_stream_with_rejections`` for odd seeds and the true stream for even ones."""
+    odd = np.asarray(seed, dtype=np.uint64) % np.uint64(2) == 1
+    return np.where(np.expand_dims(odd, -1), _stream_with_rejections(seed, start, count),
+                    splitmix64_outputs(seed, start, count))
+
+
+def _one_permutation(seed, n):
+    return instances._permutations([seed], n)[0]
 
 
 class TestFisherYates:
     @pytest.mark.parametrize("n", [2, 3, 4, 36, 1200, 12000])
     def test_matches_scalar_reference(self, n):
         for seed in range(40):
-            got = instances._permutation(seed, n)
+            got = _one_permutation(seed, n)
             assert got.tobytes() == fisher_yates_reference(seed, n, splitmix64_outputs).tobytes()
 
     def test_rejected_draws_match_scalar_reference(self, monkeypatch):
         monkeypatch.setattr(instances, "splitmix64_outputs", _stream_with_rejections)
         for n in (2, 3, 4, 36, 1200):
             for seed in range(5):
-                got = instances._permutation(seed, n)
+                got = _one_permutation(seed, n)
                 want = fisher_yates_reference(seed, n, _stream_with_rejections)
                 assert got.tobytes() == want.tobytes(), (n, seed)
+
+
+# More rows than one block of the n = 400, d = 3, k = 4 census and sample_simple.
+_OVER_ONE_BLOCK = instances._block_rows(Params(n=400, d=3, k=4, r=2)) + 3
+
+
+class TestBatchedFisherYates:
+    """Every row of a batch is the permutation its seed gives alone."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 36, 1200])
+    @pytest.mark.parametrize("rows", [1, 2, _OVER_ONE_BLOCK])
+    def test_rows_match_scalar_reference(self, n, rows):
+        seeds = splitmix64_outputs(n, 0, rows)  # full 64-bit seeds
+        got = instances._permutations(seeds, n)
+        assert got.shape == (rows, n) and got.dtype == np.int64
+        for seed, row in zip(seeds.tolist(), got):
+            assert row.tobytes() == fisher_yates_reference(seed, n, splitmix64_outputs).tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 36, 1200])
+    @pytest.mark.parametrize("rows", [1, 2, _OVER_ONE_BLOCK])
+    def test_rejected_and_clean_rows_mixed(self, monkeypatch, n, rows):
+        monkeypatch.setattr(instances, "splitmix64_outputs", _stream_rejecting_odd_seeds)
+        seeds = list(range(7, 7 + rows))  # odd seeds draw rejected outputs, even ones none
+        got = instances._permutations(seeds, n)
+        for seed, row in zip(seeds, got):
+            want = fisher_yates_reference(seed, n, _stream_rejecting_odd_seeds)
+            assert row.tobytes() == want.tobytes(), (n, seed)
 
 
 class TestSampling:
@@ -98,14 +139,13 @@ class TestSampling:
         """n=2, d=2, k=4 has 4! = 24 wirings; frequencies within 5 sigma."""
         p = Params(n=2, d=2, k=4, r=2)
         trials = 100_000
-        counts = Counter(
-            tuple(sample_configuration(p, child_seed(2024, t)).wiring.tolist())
-            for t in range(trials)
-        )
+        # the wirings of child seeds 0 .. trials-1 of 2024, in one batch
+        wirings = instances._permutations(splitmix64_outputs(2024, 0, trials), p.n_slots)
+        _, counts = np.unique(wirings, axis=0, return_counts=True)
         assert len(counts) == 24
         expected = trials / 24
         sigma = math.sqrt(trials * (1 / 24) * (23 / 24))
-        for freq in counts.values():
+        for freq in counts.tolist():
             assert abs(freq - expected) <= 5 * sigma
 
     def test_permutation_always(self):
@@ -164,14 +204,39 @@ class TestTwoCycles:
             sample_simple(Params(n=2, d=2, k=4, r=2), seed=1, max_attempts=5)
         assert err.value.attempts == 5
 
+    def test_retry_limit_off_block_boundary(self, monkeypatch):
+        """A limit that is no multiple of the block size draws exactly that many seeds."""
+        p = Params(n=2, d=2, k=4, r=2)
+        max_attempts = 2 * instances._block_rows(p) + 5
+        drawn, draw = [], instances._permutations
+
+        def recording(seeds, n):
+            drawn.append(np.array(seeds, dtype=np.uint64))
+            return draw(seeds, n)
+
+        monkeypatch.setattr(instances, "_permutations", recording)
+        with pytest.raises(RetryLimitError) as err:
+            sample_simple(p, seed=3, max_attempts=max_attempts)
+        assert err.value.attempts == max_attempts
+        assert len(drawn) == 3
+        assert np.concatenate(drawn).tolist() == [child_seed(3, i) for i in range(max_attempts)]
+
+    @pytest.mark.parametrize("n,d,k", [(40, 3, 4), (400, 3, 4), (12, 3, 4)])
+    def test_accepts_first_simple_attempt(self, n, d, k):
+        p = Params(n=n, d=d, k=k, r=2)
+        for seed in range(6):
+            attempt = 0
+            while count_two_cycles(sample_configuration(p, child_seed(seed, attempt))):
+                attempt += 1
+            want = sample_configuration(p, child_seed(seed, attempt))
+            assert sample_simple(p, seed).wiring.tobytes() == want.wiring.tobytes()
+
     def test_acceptance_rate_near_poisson_zero_mass(self):
         """P[no two-cycles] ~ exp(-lambda_1) = exp(-3) at (k=4, d=3, n=400)."""
-        p = Params(n=400, d=3, k=4, r=2)
         trials = 1500
-        simple = sum(
-            count_two_cycles(sample_configuration(p, child_seed(77, t))) == 0
-            for t in range(trials)
-        )
+        # census sample t is the configuration of child_seed(77, t)
+        censuses = census_samples(k=4, d=3, n=400, samples=trials, seed=77, l_max=1)
+        simple = sum(c.count(1) == 0 for c in censuses)
         target = math.exp(-3.0)
         sigma = math.sqrt(target * (1 - target) / trials)
         assert abs(simple / trials - target) <= 3 * sigma
@@ -193,10 +258,9 @@ class TestRedundantConstraints:
     def test_monte_carlo_mean(self):
         p = Params(n=4, d=2, k=4, r=2)
         trials = 20_000
-        total = sum(
-            count_redundant_constraints(sample_configuration(p, child_seed(5, t)))
-            for t in range(trials)
-        )
+        # the wirings of child seeds 0 .. trials-1 of 5, in one batch
+        wirings = instances._permutations(splitmix64_outputs(5, 0, trials), p.n_slots)
+        total = sum(count_redundant_constraints(Configuration(p, w)) for w in wirings)
         mean = total / trials
         sigma = math.sqrt((8 / 35) * (1 - 8 / 35) / trials)  # indicator variance bound
         assert abs(mean - 8 / 35) <= 3 * sigma

@@ -7,11 +7,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from occuthresh.errors import ParameterError
+from occuthresh.errors import CapacityError, ParameterError
 from occuthresh.instances import Params
 from occuthresh.moments import (
     Hessian2,
     OverlapPoint,
+    _overlap_terms,
     _word_classes,
     first_moment_asymptotic,
     first_moment_exact,
@@ -229,6 +230,20 @@ class TestSecondMoment:
                 continue
             params = Params(n=n, d=d, k=k, r=2)
             assert second_moment_exact_ratio(params).value == second_moment_ratio_reference(params), (k, d, n)
+
+    def test_term_count_matches_region(self):
+        for k in (4, 5, 6, 8):
+            for d in (2, 3, 4, 5, 7):
+                for n in range(k, 241, k):
+                    params = Params(n=n, d=d, k=k, r=2)
+                    n1, m = 2 * n // k, params.m
+                    region = sum((d * r1) // 2 - max(0, d * r1 - m) + 1 for r1 in range(n1 + 1))
+                    assert _overlap_terms(n1, d, m) == region, (k, d, n)
+
+    def test_term_limit_refused_before_summing(self):
+        # 2500100001 terms: the sum would run for minutes
+        with pytest.raises(CapacityError, match="sums 2500100001 overlap terms"):
+            second_moment_exact_ratio(Params(n=200000, d=2, k=4, r=2))
 
     def test_converges_to_asymptotic(self):
         target = math.sqrt(1.5)
