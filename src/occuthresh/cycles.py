@@ -31,12 +31,10 @@ from .errors import ContractViolation, ParameterError
 from .instances import (
     Configuration,
     Params,
-    _block_rows,
-    _check_permutations,
     _equal_pairs,
-    _permutations,
+    _sample_block,
+    _seed_blocks,
     _two_cycle_counts,
-    splitmix64_outputs,
 )
 from .numerics import log_factorials
 from .parallel import parallel_map
@@ -278,9 +276,8 @@ def pair_correlation(samples, l_a: int, l_b: int) -> float:
 
 
 def _census_block(args) -> list:
-    params, seeds, l_max = args
-    wirings = _permutations(seeds, params.n_slots)
-    _check_permutations(wirings)
+    params, seed, block, l_max = args
+    wirings = _sample_block(params, seed, block)
     if l_max <= 2:
         return _census_pairs(params, wirings, l_max).tolist()
     return [_census_walk(Configuration(params, w), l_max) for w in wirings]
@@ -307,12 +304,6 @@ def census_samples(
     if l_max < 1:
         raise ParameterError(f"need l_max >= 1, got {l_max}")
     params = Params(n=n, d=d, k=k, r=r)
-    # at least one block per worker while blocks stay within the cap
-    rows = min(_block_rows(params), -(-samples // max(1, threads)))
-    # child seeds lo .. hi-1 of the master seed, one block each
-    tasks = [
-        (params, splitmix64_outputs(seed, lo, min(rows, samples - lo)), l_max)
-        for lo in range(0, samples, rows)
-    ]
+    tasks = [(params, seed, block, l_max) for block in _seed_blocks(params, samples, threads)]
     blocks = parallel_map(_census_block, tasks, threads)
     return [CycleCensus(tuple(counts)) for block in blocks for counts in block]

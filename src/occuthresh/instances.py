@@ -11,12 +11,13 @@ stream is a pure function of (seed, index), so identical seeds give
 identical instances on every platform.
 
 Shuffles run a block of seeds at a time: the draws of every seed form
-one array, and each Fisher-Yates step swaps across all of the block's
-rows at once.  A configuration drawn alone is the block of its one seed,
-so it has the bits it has in any block.  Callers with many seeds
-(``sample_simple``, the cycle census, satisfiability sweeps) draw them in
-blocks of ``_block_rows`` rows, which bounds memory by the block, not by
-the number of seeds.
+one array, and the Fisher-Yates swaps of all of the block's rows are
+resolved together by a sort and pointer doubling, in a number of numpy
+calls that grows with log n, not with n.  A configuration drawn alone is
+the block of its one seed, so it has the bits it has in any block.
+Callers with many seeds (``sample_simple``, the cycle census,
+satisfiability sweeps) draw them in the blocks of ``_seed_blocks``,
+which bounds memory by the block, not by the number of seeds.
 
 Seed splitting: child ``i`` of a master seed is the ``(i+1)``-st output
 of the SplitMix64 sequence started at the master seed.  Callers
@@ -76,9 +77,18 @@ def _permutations(seeds, n: int) -> np.ndarray:
     are skipped, so every residue is equally likely.  The draws of all
     seeds are tested at once; in a row with a rejected draw the first
     one is dropped, the later ones move up a step, the next stream
-    output joins at the end, and the test runs again.  Each step then
-    swaps across all rows at once, on an (n, seeds) array that is
-    transposed at the end.
+    output joins at the end, and the test runs again.
+
+    The swaps are not run one step at a time.  No step after step ``i``
+    touches slot ``i``, so it ends with what the slot ``j`` that step
+    ``i`` picks held just before: ``j`` itself if no earlier step (a
+    larger index) picked ``j``, else what slot ``t`` held just before
+    step ``t``, for ``t`` the last of those to run (the smallest).  What
+    slot ``t`` held just before step ``t`` follows the same rule, along
+    chains of increasing steps; pointer doubling finds the end of every
+    chain in O(log n) rounds.  The work is a sort and a few gathers per
+    round over all rows at once, so one seed costs about what it costs
+    in a block.
     """
     seeds = np.asarray(seeds, dtype=np.uint64)
     bounds = np.arange(n, 1, -1).astype(np.uint64)
@@ -93,17 +103,38 @@ def _permutations(seeds, n: int) -> np.ndarray:
             read += 1
             rejected = np.flatnonzero(row_draws > top)
         draws[row] = row_draws
-    # grid[i, c] is slot i of row c; picks[t, c] is the flat index in grid
-    # of the slot that step t swaps with slot n-1-t of row c.
     rows = seeds.size
-    picks = (draws % bounds).T.astype(np.int64) * rows + np.arange(rows)
-    slots = np.repeat(np.arange(n, dtype=np.int64), rows)
-    grid = slots.reshape(n, rows)
-    for i, pick in zip(range(n - 1, 0, -1), picks):
-        held = slots[pick]
-        slots[pick] = grid[i]
-        grid[i] = held
-    return np.ascontiguousarray(grid.T)
+    size = rows * n
+    # picks[c, i]: the slot step i swaps with slot i in row c (step 0 picks 0)
+    picks = np.zeros((rows, n), dtype=np.int64)
+    picks[:, :0:-1] = draws % bounds
+    # Indices below are flat, row c offset by c*n.  by_pick lists the steps
+    # grouped by the slot they pick, in increasing order within a group;
+    # group s starts at start[s] and has counts[s] steps.
+    base = np.arange(0, size, n)[:, None]
+    picked = (picks + base).ravel()
+    order = np.argsort(picks.astype(np.min_scalar_type(n)), axis=1, kind="stable")
+    by_pick = np.append((order + base).ravel(), 0)
+    counts = np.bincount(picked, minlength=size)
+    start = np.cumsum(counts) - counts
+    # held[s] ends as what slot s holds just before step s.  It first points
+    # to the smallest step above s that picks s (s itself, if it picks s,
+    # is the smallest of its group), or to s where there is none.
+    slots = np.arange(size)
+    own = (picked == slots).astype(np.int64)
+    held = np.where(counts > own, by_pick[start + own], slots)
+    while True:
+        jumped = held[held]
+        if np.array_equal(jumped, held):
+            break
+        held = jumped
+    # Each step takes what the next larger step of its group held, or the
+    # picked slot itself if it is the largest.
+    slot_of = np.repeat(slots, counts)
+    later = np.append(slot_of[1:] == slot_of[:-1], False)
+    out = np.empty(size, dtype=np.int64)
+    out[by_pick[:-1]] = np.where(later, held[by_pick[1:]], slot_of)
+    return out.reshape(rows, n) - base
 
 
 @dataclass(frozen=True)
@@ -173,15 +204,34 @@ class Configuration:
         return (self.inverse_wiring() // p.d).reshape(p.m, p.k)
 
 
-# Cap on rows * n_slots * k for a block of seeds drawn at once.  The l <= 2
-# census of a row builds about k*n_slots/2 member-pair keys, so a block's
+# Cap on rows * n_slots * k for a block of configurations drawn at once.
+# The shuffle of a block holds about a dozen arrays of rows * n_slots
+# entries and its l <= 2 census about k/2 keys per slot, so a block's
 # memory stays bounded whatever the number of seeds.
-_BLOCK_ENTRIES = 1 << 18
+_BLOCK_ENTRIES = 1 << 16
 
 
 def _block_rows(params: Params) -> int:
     """Rows of a block of sampled configurations."""
     return max(1, _BLOCK_ENTRIES // (params.n_slots * params.k))
+
+
+def _seed_blocks(params: Params, count: int, threads: int = 1):
+    """Child-seed indices ``0 .. count-1`` cut into consecutive blocks.
+
+    Blocks have ``_block_rows`` rows, fewer where that gives each of
+    ``threads`` workers a block; the last one may be partial.
+    """
+    rows = min(_block_rows(params), -(-count // max(1, threads)))
+    return (range(lo, min(lo + rows, count)) for lo in range(0, count, rows))
+
+
+def _sample_block(params: Params, seed: int, block: range) -> np.ndarray:
+    """Wirings of child seeds ``block`` of ``seed``, one checked row each."""
+    seeds = splitmix64_outputs(seed, block.start, len(block))
+    wirings = _permutations(seeds, params.n_slots)
+    _check_permutations(wirings)
+    return wirings
 
 
 def sample_configuration(params: Params, seed: int) -> Configuration:
@@ -228,11 +278,8 @@ def sample_simple(params: Params, seed: int, max_attempts: int = 1000) -> Config
     """
     if max_attempts < 1:
         raise ParameterError(f"need max_attempts >= 1, got {max_attempts}")
-    rows = _block_rows(params)
-    for lo in range(0, max_attempts, rows):
-        # child seeds lo .. lo+count-1 of the master seed
-        seeds = splitmix64_outputs(seed, lo, min(rows, max_attempts - lo))
-        wirings = _permutations(seeds, params.n_slots)
+    for block in _seed_blocks(params, max_attempts):
+        wirings = _sample_block(params, seed, block)
         simple = np.flatnonzero(_two_cycle_counts(params, wirings) == 0)
         if simple.size:
             return Configuration(params, wirings[simple[0]])

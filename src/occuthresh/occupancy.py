@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, ContractViolation, ParameterError
-from .instances import Configuration, Params, _permutations, child_seed, splitmix64_outputs
+from .instances import Configuration, Params, _sample_block, _seed_blocks, child_seed
 from .parallel import parallel_map
 
 ENUMERATION_CAP = 32
@@ -200,9 +200,10 @@ def _wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     return lo, hi
 
 
-def _sat_trial(args) -> bool:
-    cfg, cap = args
-    return has_solution(cfg, cap=cap)
+def _sat_block(args) -> int:
+    _, params, seed, block, cap = args
+    return sum(bool(has_solution(Configuration(params, w), cap=cap))
+               for w in _sample_block(params, seed, block))
 
 
 def estimate_sat_probability(
@@ -218,8 +219,10 @@ def estimate_sat_probability(
     """Fraction of satisfiable instances per n, with Wilson 95% intervals.
 
     Trial ``t`` for the i-th entry of ``n_list`` runs on child seed
-    ``child_seed(child_seed(seed, i), t)``; results reduce in trial
-    order, so any worker count gives identical output.
+    ``child_seed(child_seed(seed, i), t)``.  Trials run in blocks of
+    consecutive ``t`` whose satisfiable counts are summed, so any worker
+    count gives identical output, and memory is set by the block size,
+    not by ``trials``.
     """
     if trials < 1:
         raise ParameterError(f"need trials >= 1, got {trials}")
@@ -227,17 +230,18 @@ def estimate_sat_probability(
     for n in n_list:
         _check_cap(n, cap)
         families.append(Params(n=n, d=d, k=k, r=r))
-    # each n's wirings in one draw; every (n, trial) task in one map, so
-    # one worker pool serves all of n_list
-    tasks = []
-    for i, params in enumerate(families):
-        trial_seeds = splitmix64_outputs(child_seed(seed, i), 0, trials)  # child t of child i
-        wirings = _permutations(trial_seeds, params.n_slots)
-        tasks += [(Configuration(params, w), cap) for w in wirings]
-    outcomes = parallel_map(_sat_trial, tasks, threads)
+    # blocks of child seeds of child_seed(seed, i) for the i-th n, all in
+    # one map, so one worker pool serves all of n_list
+    tasks = [
+        (i, params, child_seed(seed, i), block, cap)
+        for i, params in enumerate(families)
+        for block in _seed_blocks(params, trials, threads)
+    ]
+    sat_counts = [0] * len(families)
+    for task, sat in zip(tasks, parallel_map(_sat_block, tasks, threads)):
+        sat_counts[task[0]] += sat
     rows = []
-    for i, n in enumerate(n_list):
-        sat = sum(bool(o) for o in outcomes[i * trials : (i + 1) * trials])
+    for n, sat in zip(n_list, sat_counts):
         lo, hi = _wilson_interval(sat, trials)
         rows.append(
             SatProbRow(

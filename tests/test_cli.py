@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from occuthresh import cli, cycles
+from occuthresh import cli, instances
 from occuthresh.errors import CertificateError
 from occuthresh.numerics import Channel, Pmf
 from occuthresh.sdpi import format_channel
@@ -97,7 +97,7 @@ class TestCycles:
         def unexpected(*args, **kwargs):
             raise AssertionError("a configuration was sampled")
 
-        monkeypatch.setattr(cycles, "_permutations", unexpected)
+        monkeypatch.setattr(instances, "_permutations", unexpected)
         assert run(["cycles", "--k", "4", "--d", "3", "--n", "400", "--samples", "1",
                     "--seed", "3", "--l-max", "4", "--threads", "1"]) == 2
         assert "--samples >= 2" in capsys.readouterr().err

@@ -75,6 +75,18 @@ def _stream_rejecting_odd_seeds(seed, start, count):
                     splitmix64_outputs(seed, start, count))
 
 
+def _stream_of_picks(kind, n):
+    """A stream whose draw for step i = n-1 .. 1 picks slot i - 1, slot 0 or slot i."""
+
+    def outputs(seed, start, count):
+        steps = n - 1 - np.arange(start, start + count)
+        picks = {"previous": steps - 1, "first": 0 * steps, "own": steps}[kind]
+        out = np.maximum(picks, 0).astype(np.uint64)
+        return np.broadcast_to(out, np.shape(seed) + out.shape).copy()
+
+    return outputs
+
+
 def _one_permutation(seed, n):
     return instances._permutations([seed], n)[0]
 
@@ -120,6 +132,16 @@ class TestBatchedFisherYates:
         for seed, row in zip(seeds, got):
             want = fisher_yates_reference(seed, n, _stream_rejecting_odd_seeds)
             assert row.tobytes() == want.tobytes(), (n, seed)
+
+    @pytest.mark.parametrize("kind", ["previous", "first", "own"])
+    @pytest.mark.parametrize("n", [2, 3, 36, 1200])
+    def test_extreme_pick_patterns(self, monkeypatch, kind, n):
+        """Each step picking the slot below it (one chain through all n slots), slot 0 or itself."""
+        stream = _stream_of_picks(kind, n)
+        monkeypatch.setattr(instances, "splitmix64_outputs", stream)
+        want = fisher_yates_reference(0, n, stream)
+        for row in instances._permutations([0, 1, 2], n):
+            assert row.tobytes() == want.tobytes()
 
 
 class TestSampling:

@@ -1,6 +1,7 @@
 """Solution counting, overlap profiles, and the satisfiability sweep."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -240,8 +241,22 @@ class TestSatProbability:
         pooled = estimate_sat_probability(k=4, d=3, n_list=[8, 12], trials=40, seed=13, threads=3)
         assert serial == pooled
 
+    def test_memory_is_bounded_in_trials(self, monkeypatch):
+        # Drawing all 30000 wirings at once, one Configuration each, takes
+        # about 22 MiB here; blocks of consecutive trials keep it flat.
+        monkeypatch.setattr(occupancy, "has_solution", lambda cfg, cap: True)
+        estimate_sat_probability(k=4, d=3, n_list=[8], trials=10, seed=7)
+        tracemalloc.start()
+        try:
+            (row,) = estimate_sat_probability(k=4, d=3, n_list=[8], trials=30000, seed=7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert row.sat_count == 30000
+        assert peak < 8 * 2**20
+
     def test_one_map_for_every_n(self, monkeypatch):
-        """All (n, trial) tasks go through one parallel_map call, so one worker pool."""
+        """Every n's trials go through one parallel_map call, so one worker pool."""
         calls = []
 
         def counting(fn, items, threads):
@@ -254,7 +269,9 @@ class TestSatProbability:
                                               threads=threads)
             for threads in (1, 2)
         }
-        assert calls == [18, 18]
+        # one task per block of consecutive trials: a block per n at one
+        # thread, two per n at two threads, so each worker gets one
+        assert calls == [3, 6]
         assert rows[1] == rows[2]
 
     def test_deterministic_under_seed(self):
