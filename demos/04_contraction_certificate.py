@@ -31,7 +31,7 @@ print(f"  binary symmetric, flip 0.1, uniform reference: d* = {value:.9f}")
 print(f"  (the chi-square bound (1 - 2*0.1)^2 = {0.8 ** 2} is met in the limit p -> p*)")
 
 print()
-print("Occupation channel suprema (grid + refinement over the overlap region):")
+print("Occupation channel suprema (grid over w1 at the least-divergence w2):")
 print("k   conjectured   measured sup   gap         argmax")
 for k in (4, 5, 6):
     res = occupation_contraction(k, grid_depth=150)

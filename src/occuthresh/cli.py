@@ -115,12 +115,12 @@ def _build_parser() -> argparse.ArgumentParser:
             "k d n trials seed r cap threads",
             n=dict(type=_n_list, required=True, help="comma-separated n values"))
     command("cycles", "short-cycle census statistics vs Poisson limits",
-            "k d n samples seed l-max r threads")
+            "k d n samples seed l-max threads")
     command("moments", "exact and asymptotic moment report", "k d n l exact")
     command("sdpi", "contraction coefficient of a channel file", "channel grid-depth refine-tol")
     command("verify-k4", "run the k=4 contraction certificate", "grid-points root-tol")
     command("conjecture", "occupation contraction supremum vs conjectured value",
-            "k grid-depth refine-tol")
+            "k grid-depth")
     command("sample", "sample a configuration to a file",
             "k d n seed r simple max-attempts")
     command("count", "exact solution count of a configuration file", "in cap")
@@ -201,7 +201,6 @@ def _run_cycles(args) -> list[str]:
         samples=args.samples,
         seed=args.seed,
         l_max=args.l_max,
-        r=args.r,
         threads=args.threads,
     )
     return _csv("l,empirical_mean,lambda,z_score,empirical_var,chi2,dof",
@@ -252,9 +251,7 @@ def _run_verify_k4(args) -> list[str]:
 
 
 def _run_conjecture(args) -> list[str]:
-    res = occupation_contraction(
-        args.k, grid_depth=args.grid_depth, refine_tol=args.refine_tol
-    )
+    res = occupation_contraction(args.k, grid_depth=args.grid_depth)
     return [
         f"k = {args.k}",
         f"conjectured = {res.conjectured!r}",

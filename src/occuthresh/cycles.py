@@ -59,11 +59,11 @@ class CycleCensus:
 _FRONTIER_ROWS = 2048
 
 
-def _census_walk(cfg: Configuration, l_max: int) -> tuple:
-    p = cfg.params
+def _census_walk(params: Params, wiring: np.ndarray, l_max: int) -> tuple:
+    p = params
     d, k = p.d, p.k
-    to_con = cfg.wiring // k
-    members = cfg.inverse_wiring().reshape(p.m, k)
+    to_con = wiring // k
+    members = np.argsort(wiring).reshape(p.m, k)  # the inverse permutation
     offsets = np.arange(d)
     directed = [0] * (l_max + 1)
 
@@ -162,7 +162,7 @@ def count_cycles(cfg: Configuration, l_max: int) -> CycleCensus:
     if l_max <= 2:
         counts = _census_pairs(cfg.params, cfg.wiring[None, :], l_max)[0]
         return CycleCensus(tuple(counts.tolist()))
-    return CycleCensus(_census_walk(cfg, l_max))
+    return CycleCensus(_census_walk(cfg.params, cfg.wiring, l_max))
 
 
 def lambda_l(l: int, k: int, d: int) -> float:
@@ -280,7 +280,7 @@ def _census_block(args) -> list:
     wirings = _sample_block(params, seed, block)
     if l_max <= 2:
         return _census_pairs(params, wirings, l_max).tolist()
-    return [_census_walk(Configuration(params, w), l_max) for w in wirings]
+    return [_census_walk(params, w, l_max) for w in wirings]
 
 
 def census_samples(
@@ -290,7 +290,6 @@ def census_samples(
     samples: int,
     seed: int,
     l_max: int = 2,
-    r: int = 2,
     threads: int = 1,
 ) -> list[CycleCensus]:
     """Censuses of ``samples`` independent configurations.
@@ -303,7 +302,7 @@ def census_samples(
         raise ParameterError(f"need samples >= 1, got {samples}")
     if l_max < 1:
         raise ParameterError(f"need l_max >= 1, got {l_max}")
-    params = Params(n=n, d=d, k=k, r=r)
+    params = Params(n=n, d=d, k=k, r=1)  # no census reads r; 1 is valid for every k >= 2
     tasks = [(params, seed, block, l_max) for block in _seed_blocks(params, samples, threads)]
     blocks = parallel_map(_census_block, tasks, threads)
     return [CycleCensus(tuple(counts)) for block in blocks for counts in block]

@@ -32,7 +32,7 @@ from math import lgamma, log
 import numpy as np
 
 from .errors import ParameterError, ParseError, RetryLimitError
-from .numerics import LogReal
+from .numerics import LogReal, log_falling
 
 _M64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -291,7 +291,8 @@ def sample_simple(params: Params, seed: int, max_attempts: int = 1000) -> Config
 def expected_redundant_exact(params: Params) -> LogReal:
     """Exact expected number of redundant constraint pairs, in log scale.
 
-    C(m,2) * (n)_k * k! * (d(d-1))^k * (dn-2k)! / (dn)!
+    C(m,2) * (n)_k * k! * (d(d-1))^k * (dn-2k)! / (dn)!, which is zero
+    when n < k: no constraint then has k distinct variables.
     """
     n, d, k, m = params.n, params.d, params.k, params.m
     dn = d * n
@@ -301,7 +302,7 @@ def expected_redundant_exact(params: Params) -> LogReal:
         return LogReal.zero()
     value = (
         log(m * (m - 1) / 2.0)
-        + (lgamma(n + 1) - lgamma(n - k + 1))
+        + log_falling(n, k)
         + lgamma(k + 1)
         + k * log(d * (d - 1))
         + lgamma(dn - 2 * k + 1)

@@ -21,7 +21,14 @@ import numpy as np
 
 from .errors import CapacityError, EvaluationError, ParameterError
 from .instances import Params
-from .numerics import LogReal, binary_entropy, kl_divergence_rows, log_factorials
+from .numerics import (
+    LogReal,
+    binary_entropy,
+    kl_divergence_rows,
+    log_binom,
+    log_factorials,
+    log_falling,
+)
 from .occupancy import ones_quota
 
 _DOMAIN_TOL = 1e-9
@@ -198,7 +205,7 @@ def first_moment_exact(params: Params) -> LogReal:
         return LogReal.zero()
     dn = d * n
     value = (
-        _log_binom(n, quota)
+        log_binom(n, quota)
         + m * math.log(k * (k - 1) / 2.0)
         + math.lgamma(2 * m + 1)
         + math.lgamma(dn - 2 * m + 1)
@@ -210,12 +217,6 @@ def first_moment_exact(params: Params) -> LogReal:
 def first_moment_asymptotic(k: int, d: int, n: int) -> LogReal:
     """Large-n form ln(sqrt(d) * exp(n * phi1))."""
     return LogReal(0.5 * math.log(d) + n * phi1(k, d))
-
-
-def _log_binom(n: int, k_: int) -> float:
-    if k_ < 0 or k_ > n:
-        return float("-inf")
-    return math.lgamma(n + 1) - math.lgamma(k_ + 1) - math.lgamma(n - k_ + 1)
 
 
 def _log_sum_exp(values) -> float:
@@ -360,14 +361,8 @@ def joint_moment_exact(params: Params, l: int) -> LogReal:
     if d * n1 < 2 * l or d * (n - n1) < 2 * l or m < l:
         raise ParameterError(f"instance too small for l={l} cycles")
 
-    def log_ff(a: int, b: int) -> float:
-        # falling factorial (a)_b
-        if b > a:
-            return float("-inf")
-        return math.lgamma(a + 1) - math.lgamma(a - b + 1)
-
     base = (
-        _log_binom(n, n1)
+        log_binom(n, n1)
         + m * math.log(k * (k - 1) / 2.0)
         + l * math.log(d * (d - 1))
         - math.log(2 * l)
@@ -375,9 +370,9 @@ def joint_moment_exact(params: Params, l: int) -> LogReal:
     )
     terms = [
         base
-        + log_ff(n1, r1)
-        + log_ff(n - n1, l - r1)
-        + log_ff(m, l)
+        + log_falling(n1, r1)
+        + log_falling(n - n1, l - r1)
+        + log_falling(m, l)
         + r2 * math.log(2.0)
         + 2 * (r1 - r2) * math.log(2.0 * (k - 2))
         + (l - 2 * r1 + r2) * math.log((k - 2.0) * (k - 3.0))

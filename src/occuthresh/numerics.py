@@ -105,6 +105,20 @@ def log_factorials(n: int) -> np.ndarray:
     return np.array([math.lgamma(i + 1) for i in range(n + 1)])
 
 
+def log_falling(a: int, b: int) -> float:
+    """ln of the falling factorial (a)_b = a! / (a-b)!; -inf outside 0 <= b <= a."""
+    if b < 0 or b > a:
+        return float("-inf")
+    return math.lgamma(a + 1) - math.lgamma(a - b + 1)
+
+
+def log_binom(a: int, b: int) -> float:
+    """ln C(a, b); -inf outside 0 <= b <= a."""
+    if b < 0 or b > a:
+        return float("-inf")
+    return math.lgamma(a + 1) - math.lgamma(b + 1) - math.lgamma(a - b + 1)
+
+
 def binary_entropy(p: float) -> float:
     """H(p) = -p ln p - (1-p) ln(1-p), with 0 ln 0 = 0."""
     if not 0.0 <= p <= 1.0:

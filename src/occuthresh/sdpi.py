@@ -1,13 +1,12 @@
 """KL contraction coefficients and the complete k = 4 certificate.
 
 The generic coefficient sup KL(Wp || Wp*) / KL(p || p*) is estimated by
-one search, ``_search``: it scores blocks of candidate pmfs, keeps the
-first best (a later candidate wins only by a strictly larger ratio) and
-refines the winner by simplex moves, accepting strict improvements
-only.  For a generic channel the candidates are a dense simplex grid in
+``contraction_coefficient``: it scores a dense simplex grid in
 lexicographic composition order, streamed in numpy blocks of about 2^15
-points so memory does not grow with the grid; each refine step
-evaluates its simplex moves in one batch.
+points so memory does not grow with the grid, keeps the first best (a
+later point wins only by a strictly larger ratio) and refines the
+winner by simplex moves, each step evaluating its moves in one batch
+and accepting strict improvements only.
 
 The occupation channel maps the shared-ones count of a constraint to
 its output count; its columns are ``moments.output_count_pmf`` at
@@ -15,8 +14,10 @@ w1 = 0, 1/2 and 1.  The output depends on the overlap only through w1,
 so the supremum is a search over w1 alone: at each w1 the candidate is
 the overlap point of least input divergence, whose w2 (the fraction
 p11 of constraints sharing both ones, as in ``OverlapPoint``) is
-``minimizing_w2`` in closed form for every k.  The conjectured supremum
-sits at the degenerate corner w1 = 1.
+``minimizing_w2`` in closed form for every k.  Each candidate has the
+largest ratio at its w1, so no simplex move from it can do better than
+the candidate at the w1 it lands on, and the search needs no refine.
+The conjectured supremum sits at the degenerate corner w1 = 1.
 
 The k = 4 functions certify, at grid resolution, that the conjectured
 corner value really is the supremum.  All bound curves are closed
@@ -159,36 +160,6 @@ def _refine_simplex(p, value, matrix, p_star, q_star, start_step: float, tol: fl
     return p, value
 
 
-def _check_search(grid_depth: int, refine_tol: float):
-    if grid_depth < 2:
-        raise ParameterError(f"need grid_depth >= 2, got {grid_depth}")
-    if not (math.isfinite(refine_tol) and refine_tol > 0.0):
-        raise ParameterError(f"need a finite refine_tol > 0, got {refine_tol}")
-
-
-def _search(blocks, p_star: Pmf, channel: Channel, grid_depth: int, refine_tol: float):
-    """Score candidate pmf rows, keep the first best, refine it: (pmf, ratio).
-
-    ``blocks`` yields arrays of rows in search order; a later row wins
-    only with a strictly larger ratio.  np.argmax returns the first NaN,
-    so a NaN or +inf block winner fails as a winner of all rows would,
-    and so do rows that are all excluded (-inf).
-    """
-    args = (channel.matrix, p_star.weights, channel.apply(p_star).weights)
-    best, argbest = -np.inf, None
-    for rows in blocks:
-        ratios = _ratio_rows(rows, *args)
-        i = int(np.argmax(ratios))
-        if not ratios[i] < np.inf:
-            best = np.nan
-            break
-        if ratios[i] > best:
-            best, argbest = float(ratios[i]), rows[i].copy()
-    if not np.isfinite(best):
-        raise ParameterError("no admissible grid point; reference pmf degenerate?")
-    return _refine_simplex(argbest, best, *args, start_step=1.0 / grid_depth, tol=refine_tol)
-
-
 def contraction_coefficient(
     p_star: Pmf,
     channel: Channel,
@@ -203,9 +174,14 @@ def contraction_coefficient(
     positive.  The grid is streamed in blocks of about 2^15 points, so
     memory does not grow with the grid.
     Deterministic: grid ties keep the lexicographically first
-    composition.  The reference pmf must have full support.
+    composition.  The reference pmf must have full support.  np.argmax
+    returns the first NaN, so a NaN or +inf block winner fails as a
+    winner of all points would, and so does a grid of excluded points.
     """
-    _check_search(grid_depth, refine_tol)
+    if grid_depth < 2:
+        raise ParameterError(f"need grid_depth >= 2, got {grid_depth}")
+    if not (math.isfinite(refine_tol) and refine_tol > 0.0):
+        raise ParameterError(f"need a finite refine_tol > 0, got {refine_tol}")
     if channel.n_in != len(p_star):
         raise ContractViolation(
             f"channel expects {channel.n_in} inputs, reference pmf has {len(p_star)}"
@@ -213,8 +189,19 @@ def contraction_coefficient(
     zeros = np.flatnonzero(p_star.weights == 0.0)
     if zeros.size:
         raise ParameterError(f"reference pmf needs full support, but p_star[{zeros[0]}] = 0")
-    blocks = _grid_blocks(grid_depth, len(p_star))
-    p, value = _search(blocks, p_star, channel, grid_depth, refine_tol)
+    args = (channel.matrix, p_star.weights, channel.apply(p_star).weights)
+    best, argbest = -np.inf, None
+    for rows in _grid_blocks(grid_depth, len(p_star)):
+        ratios = _ratio_rows(rows, *args)
+        i = int(np.argmax(ratios))
+        if not ratios[i] < np.inf:
+            best = np.nan
+            break
+        if ratios[i] > best:
+            best, argbest = float(ratios[i]), rows[i].copy()
+    if not np.isfinite(best):
+        raise ParameterError("no admissible grid point; reference pmf degenerate?")
+    p, value = _refine_simplex(argbest, best, *args, start_step=1.0 / grid_depth, tol=refine_tol)
     return value, Pmf(p)
 
 
@@ -226,26 +213,28 @@ class OccupationContraction:
     gap: float
 
 
-def occupation_contraction(
-    k: int, grid_depth: int = 200, refine_tol: float = 1e-10
-) -> OccupationContraction:
+def occupation_contraction(k: int, grid_depth: int = 200) -> OccupationContraction:
     """Supremum of the divergence ratio over the overlap region.
 
     The output pmf depends on the overlap only through w1, so at fixed
     w1 the ratio is largest where the input divergence is smallest.  The
     search scores that minimizing pmf at w1 = i / grid_depth, from w1 = 1
-    down (ties keep the larger w1, as the simplex grid keeps (0, 0, 1)),
-    then refines the winner by simplex moves over all 3-outcome pmfs.
-    The overlap point is recovered from the final pmf via
+    down, and keeps the first best (ties keep the larger w1, as the
+    simplex grid keeps (0, 0, 1)).  Every candidate already carries the
+    largest ratio at its w1, so there is nothing for a refine to find.
+    The overlap point is recovered from the winning pmf via
     w = (p1/2 + p2, p2).
     """
-    _check_search(grid_depth, refine_tol)
+    if grid_depth < 2:
+        raise ParameterError(f"need grid_depth >= 2, got {grid_depth}")
     p_star, channel = occupation_channel(k)
     w1 = np.arange(grid_depth, -1, -1) / grid_depth
     p11, p00 = _minimizing_cells(k, w1)
     rows = np.column_stack([p00, 2.0 * (w1 - p11), p11])
     rows /= rows.sum(axis=1, keepdims=True)
-    p, sup = _search([rows], p_star, channel, grid_depth, refine_tol)
+    ratios = _ratio_rows(rows, channel.matrix, p_star.weights, channel.apply(p_star).weights)
+    i = int(np.argmax(ratios))
+    p, sup = rows[i], float(ratios[i])
     arg = OverlapPoint(float(p[1] / 2.0 + p[2]), float(p[2]))
     conjectured = conjectured_contraction(k)
     if sup < conjectured - 1e-9:

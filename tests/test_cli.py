@@ -102,6 +102,13 @@ class TestCycles:
                     "--seed", "3", "--l-max", "4", "--threads", "1"]) == 2
         assert "--samples >= 2" in capsys.readouterr().err
 
+    def test_two_variable_constraints_exit_0(self, tmp_path):
+        """k = 2 is a valid family; the census takes no r, so nothing asks for r <= k - 1."""
+        out = tmp_path / "k2.csv"
+        assert run(["cycles", "--k", "2", "--d", "2", "--n", "8", "--samples", "3", "--seed", "1",
+                    "--l-max", "3", "--threads", "1", "--out", str(out)]) == 0
+        assert len(data_section(out)) == 4
+
 
 class TestMoments:
     def test_exact_fields(self, capsys):
@@ -309,13 +316,20 @@ class TestErrorContract:
         assert run(["sdpi", "--channel", str(channel)]) == 2
         assert "reference pmf needs full support, but p_star[1] = 0" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("subcommand", ["sdpi", "conjecture"])
-    def test_zero_refine_tol_exits_2(self, tmp_path, capsys, subcommand):
+    def test_zero_refine_tol_exits_2(self, tmp_path, capsys):
         channel = tmp_path / "channel.txt"
         channel.write_text("n_in = 2\nn_out = 2\nmatrix = [0.9, 0.1, 0.2, 0.8]\np_star = [0.5, 0.5]\n")
-        target = ["--channel", str(channel)] if subcommand == "sdpi" else ["--k", "5"]
-        assert run([subcommand, *target, "--grid-depth", "20", "--refine-tol", "0"]) == 2
+        assert run(["sdpi", "--channel", str(channel), "--grid-depth", "20", "--refine-tol", "0"]) == 2
         assert "need a finite refine_tol > 0, got 0.0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["conjecture", "--k", "5", "--refine-tol", "1e-8"],
+                                      ["cycles", "--k", "4", "--d", "3", "--n", "40", "--samples", "3",
+                                       "--seed", "1", "--r", "2"]], ids=["conjecture", "cycles"])
+    def test_removed_flag_exits_2_at_parse_time(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
     def test_oversized_wiring_entry_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "big.cfg"

@@ -6,8 +6,13 @@ seeds outside [0, 2^64), nan and inf tolerances, empty ``--n`` lists),
 to a malformed string, or by leaving the flag out.  Sizes stay small so
 every case runs in milliseconds; a case past 30 s fails and names its
 argv.  argparse refuses malformed argv with ``SystemExit(2)``.
+
+Each table must name exactly the flags its subcommand declares, and its
+accepted argv must exit 0: a table naming a flag the parser no longer
+has would make every case exit 2 at parse time and test nothing.
 """
 
+import argparse
 import contextlib
 import io
 
@@ -54,7 +59,7 @@ def commands(channel: str, cfg: str, missing: str) -> dict:
         "cycles": {
             "--k": ("4", KS), "--d": ("3", DS), "--n": ("40", past(ints(-2, 60))),
             "--samples": ("3", past(ints(-1, 4))), "--seed": ("3", SEEDS),
-            "--l-max": ("3", past(ints(-1, 7))), "--r": ("2", RS), "--threads": ("1", THREADS),
+            "--l-max": ("3", past(ints(-1, 7))), "--threads": ("1", THREADS),
         },
         "moments": {
             "--k": ("4", KS), "--d": ("2", DS), "--n": ("40", past(ints(-2, 80))),
@@ -65,10 +70,7 @@ def commands(channel: str, cfg: str, missing: str) -> dict:
             "--refine-tol": ("1e-8", TOLS),
         },
         "verify-k4": {"--grid-points": ("20001", past(ints(-1, 30000))), "--root-tol": ("1e-12", TOLS)},
-        "conjecture": {
-            "--k": ("5", past(ints(-2, 40))), "--grid-depth": ("20", past(ints(-1, 40))),
-            "--refine-tol": ("1e-8", TOLS),
-        },
+        "conjecture": {"--k": ("5", past(ints(-2, 40))), "--grid-depth": ("20", past(ints(-1, 40)))},
         "sample": {
             "--k": ("4", KS), "--d": ("3", DS), "--n": ("12", past(ints(-2, 40))), "--seed": ("9", SEEDS),
             "--r": ("2", RS), "--simple": (FLAG, st.just(OMIT)),
@@ -88,6 +90,47 @@ def flags(tmp_path_factory):
     return commands(str(channel), str(cfg), str(root / "missing.txt"))
 
 
+def run(argv) -> tuple[int, str]:
+    """Exit code and output of ``cli.main(argv)``, with argparse's usage exit caught."""
+    sink = io.StringIO()
+    with time_limit(argv), pytest.MonkeyPatch.context() as mp, \
+            contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        mp.setenv("OCCUTHRESH_THREADS", "1")  # an omitted --threads starts no workers
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse's usage error
+            code = exc.code
+            assert code == 2, (argv, sink.getvalue())
+    return code, sink.getvalue()
+
+
+def accepted_argv(subcommand: str, table: dict) -> list[str]:
+    argv = [subcommand]
+    for flag, (value, _) in table.items():
+        argv += [flag] if value is FLAG else [flag, value]
+    return argv
+
+
+SUBCOMMANDS = ["threshold", "satprob", "cycles", "moments", "sdpi", "verify-k4", "conjecture",
+               "sample", "count"]
+
+
+def test_tables_name_every_declared_flag(flags):
+    parser = cli._build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert sorted(sub.choices) == sorted(SUBCOMMANDS) == sorted(flags)
+    for name, subparser in sub.choices.items():
+        declared = {opt for a in subparser._actions for opt in a.option_strings}
+        assert set(flags[name]) == declared - {"-h", "--help", "--out"}, name
+
+
+@pytest.mark.parametrize("subcommand", SUBCOMMANDS)
+def test_accepted_argv_exits_0(subcommand, flags):
+    argv = accepted_argv(subcommand, flags[subcommand])
+    code, output = run(argv)
+    assert code == 0, (argv, output)
+
+
 @st.composite
 def argvs(draw, subcommand: str, table: dict):
     changed = draw(st.sets(st.sampled_from(sorted(table)), max_size=2))
@@ -101,21 +144,12 @@ def argvs(draw, subcommand: str, table: dict):
     return argv
 
 
-@pytest.mark.parametrize("subcommand", ["threshold", "satprob", "cycles", "moments", "sdpi",
-                                        "verify-k4", "conjecture", "sample", "count"])
+@pytest.mark.parametrize("subcommand", SUBCOMMANDS)
 def test_generated_argv_exits_0_2_or_3(subcommand, flags):
     @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
     @hypothesis.given(argvs(subcommand, flags[subcommand]))
     def check(argv):
-        sink = io.StringIO()
-        with time_limit(argv), pytest.MonkeyPatch.context() as mp, \
-                contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-            mp.setenv("OCCUTHRESH_THREADS", "1")  # an omitted --threads starts no workers
-            try:
-                code = cli.main(argv)
-            except SystemExit as exc:  # argparse's usage error
-                code = exc.code
-                assert code == 2, (argv, sink.getvalue())
-        assert code in (0, 2, 3), (argv, sink.getvalue())
+        code, output = run(argv)
+        assert code in (0, 2, 3), (argv, output)
 
     check()

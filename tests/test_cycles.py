@@ -56,7 +56,7 @@ class TestCensus:
         for i, (n, d, k) in enumerate([(8, 2, 4), (12, 3, 4), (20, 3, 5), (30, 2, 3)]):
             for t in range(4):
                 cfg = sample_configuration(Params(n=n, d=d, k=k, r=1), child_seed(120 + i, t))
-                assert cycles._census_walk(cfg, 2) == count_cycles(cfg, 2).counts
+                assert cycles._census_walk(cfg.params, cfg.wiring, 2) == count_cycles(cfg, 2).counts
 
     @pytest.mark.parametrize(
         "n,d,k,seeds",
@@ -70,7 +70,7 @@ class TestCensus:
             cfg = sample_configuration(Params(n=n, d=d, k=k, r=1), child_seed(n * d + k, t))
             want = census_walk_reference(cfg, 5)
             for l_max in range(1, 6):
-                assert cycles._census_walk(cfg, l_max) == want[:l_max], (t, l_max)
+                assert cycles._census_walk(cfg.params, cfg.wiring, l_max) == want[:l_max], (t, l_max)
 
     def test_walk_memory_is_bounded(self):
         # An unchunked frontier allocates about 330 MB here.
@@ -195,11 +195,14 @@ class TestCensusSampling:
             rows, samples = (3, 7) if n == 400 else (5, 23)
             monkeypatch.setattr(instances, "_BLOCK_ENTRIES", rows * p.n_slots * k)
         assert samples % instances._block_rows(p) != 0  # a partial last block
-        got = census_samples(k=k, d=d, n=n, samples=samples, seed=n + l_max, l_max=l_max, r=1)
+        got = census_samples(k=k, d=d, n=n, samples=samples, seed=n + l_max, l_max=l_max)
         assert len(got) == samples
         for i, census in enumerate(got):
             cfg = sample_configuration(p, child_seed(n + l_max, i))
-            want = census_walk_reference(cfg, l_max) if n <= 20 else cycles._census_walk(cfg, l_max)
+            if n <= 20:
+                want = census_walk_reference(cfg, l_max)
+            else:
+                want = cycles._census_walk(cfg.params, cfg.wiring, l_max)
             assert census.counts == want, i
 
     def test_sample_count_validated(self):

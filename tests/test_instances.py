@@ -21,6 +21,7 @@ from occuthresh.instances import (
     serialize,
     splitmix64_outputs,
 )
+from occuthresh.numerics import LogReal
 from tests.oracles import count_redundant_constraints, fisher_yates_reference
 
 
@@ -302,6 +303,10 @@ class TestRedundantConstraints:
     def test_domain_error(self):
         with pytest.raises(ParameterError):
             expected_redundant_exact(Params(n=2, d=2, k=4, r=2))  # dn=4 < 2k=8
+
+    def test_fewer_variables_than_k_expect_none(self):
+        """With n < k no constraint has k distinct variables, so no pair is redundant."""
+        assert expected_redundant_exact(Params(n=2, d=4, k=4, r=1)) == LogReal.zero()
 
 
 class TestSerialization:

@@ -14,13 +14,26 @@ from occuthresh.numerics import (
     binary_entropy,
     find_root,
     kl_divergence_rows,
+    log_binom,
     log_factorials,
+    log_falling,
 )
 
 
 def kl_one_row(p, q) -> float:
     """KL(p || q) of two pmfs, as a one-row call of kl_divergence_rows."""
     return float(kl_divergence_rows(np.reshape(p, (1, -1)), q)[0])
+
+
+class TestLogFalling:
+    def test_against_integers(self):
+        for a in range(13):
+            for b in range(-2, a + 3):
+                inside = 0 <= b <= a
+                want_ff = math.log(math.perm(a, b)) if inside else -math.inf
+                want_binom = math.log(math.comb(a, b)) if inside else -math.inf
+                assert math.isclose(log_falling(a, b), want_ff, abs_tol=1e-13), (a, b)
+                assert math.isclose(log_binom(a, b), want_binom, abs_tol=1e-13), (a, b)
 
 
 class TestLogFactorial:

@@ -344,15 +344,16 @@ class TestOccupationContraction:
             assert res.sup >= res.conjectured - 1e-9
             assert res.sup >= 1.0 / (k - 1)  # the chi-square coefficient bounds eta_KL below
 
-    @pytest.mark.parametrize("depth", [60, 120, 200])
-    @pytest.mark.parametrize("k", range(4, 11))
+    @pytest.mark.parametrize("depth", [2, 7, 60, 120, 200])
+    @pytest.mark.parametrize("k", range(4, 13))
     def test_matches_simplex_search(self, k, depth):
-        """The search over w1 alone gives the bits of the full 3-simplex search."""
+        """The w1 line alone, unrefined, gives the bits of the refined 3-simplex search."""
         res = occupation_contraction(k, grid_depth=depth)
         sup, argpmf = contraction_coefficient(*occupation_channel(k), grid_depth=depth)
         p = argpmf.weights
         assert res.sup.hex() == sup.hex()
         assert res.argmax == OverlapPoint(float(p[1] / 2.0 + p[2]), float(p[2]))
+        assert res.argmax == OverlapPoint(1.0, 1.0)
 
     def test_ties_keep_largest_w1(self, monkeypatch):
         """Equal scores keep w1 = 1, as the simplex grid keeps its first point (0, 0, 1)."""
@@ -360,10 +361,10 @@ class TestOccupationContraction:
         res = occupation_contraction(5, grid_depth=20)
         assert (res.argmax.w1, res.argmax.w2) == (1.0, 1.0)
 
-    @pytest.mark.parametrize("depth, tol", [(1, 1e-10), (20, 0.0), (20, math.nan)])
-    def test_search_parameters_validated(self, depth, tol):
-        with pytest.raises(ParameterError, match="grid_depth|refine_tol"):
-            occupation_contraction(5, grid_depth=depth, refine_tol=tol)
+    @pytest.mark.parametrize("depth", [1, 0, -3])
+    def test_search_parameters_validated(self, depth):
+        with pytest.raises(ParameterError, match=f"need grid_depth >= 2, got {depth}"):
+            occupation_contraction(5, grid_depth=depth)
 
 
 class TestMinimizer:
