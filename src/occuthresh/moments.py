@@ -36,6 +36,7 @@ _DOMAIN_TOL = 1e-9
 # Most (r1, r2) terms the exact second moment sums.  k = 4, d = 2 reaches
 # it near n = 56000; n = 40000 sums 1.0e8 terms in about 2.6 s.
 _EXACT_TERMS = 2 * 10**8
+_CHUNK_TERMS = 1 << 15  # (r1, r2) terms built at once, whole r1 rows unless one is longer
 
 
 def w_star(k: int) -> tuple[float, float]:
@@ -249,7 +250,9 @@ def second_moment_exact_ratio(params: Params) -> LogReal:
 
     Summands are hypergeometric x multinomial / hypergeometric
     probabilities; the region is r1 <= n1, d*r1 - m <= r2 <= floor(d*r1/2).
-    The reduction is a log-sum-exp in fixed r1 order.  A region of more
+    Each r1 is a log-sum-exp of its own terms, built with those of
+    neighbouring r1 in chunks of about ``_CHUNK_TERMS``, and the
+    reduction over r1 is a log-sum-exp in fixed r1 order.  A region of more
     than ``_EXACT_TERMS`` terms raises :class:`CapacityError` before any
     is summed.
     """
@@ -279,13 +282,19 @@ def second_moment_exact_ratio(params: Params) -> LogReal:
     r1s = np.arange(n1 + 1)
     log_pv = log_c(n1, r1s) + log_c(n - n1, n1 - r1s) - float(log_c(n, n1))
     log_pe = log_c(d * n1, d * r1s) + log_c(d * (n - n1), d * (n1 - r1s)) - float(log_c(dn, d * n1))
-    per_r1 = np.full(n1 + 1, -np.inf)
-    for r1 in range(n1 + 1):
-        lo = max(0, d * r1 - m)
-        hi = (d * r1) // 2
-        if lo > hi:
-            continue
-        r2 = np.arange(lo, hi + 1)
+    # Every r1 <= n1 = 2m/d has d*r1 - m <= d*r1/2, so no r1 row is empty.
+    lo = np.maximum(0, d * r1s - m)
+    sizes = (d * r1s) // 2 - lo + 1
+    ends = np.cumsum(sizes)
+    per_r1 = np.empty(n1 + 1)
+    start = 0
+    while start <= n1:
+        limit = ends[start] - sizes[start] + _CHUNK_TERMS
+        stop = max(start + 1, int(np.searchsorted(ends, limit, "right")))
+        counts = sizes[start:stop]
+        firsts = np.cumsum(counts) - counts  # where each r1's terms start in the chunk
+        r1 = np.repeat(r1s[start:stop], counts)
+        r2 = np.arange(counts.sum()) - np.repeat(firsts - lo[start:stop], counts)
         t0 = m - d * r1 + r2
         t1 = d * r1 - 2 * r2
         t2 = r2
@@ -298,7 +307,14 @@ def second_moment_exact_ratio(params: Params) -> LogReal:
             + t1 * log_pstar[1]
             + t2 * log_pstar[2]
         )
-        per_r1[r1] = _log_sum_exp(log_pv[r1] + log_pf - log_pe[r1])
+        terms = log_pv[r1] + log_pf - log_pe[r1]
+        # Each r1 is a log-sum-exp of its own terms: the peaks are exact,
+        # and every sum is a slice's own (pairwise) .sum().
+        peaks = np.maximum.reduceat(terms, firsts)
+        scaled = np.exp(terms - np.repeat(peaks, counts))
+        sums = [scaled[a:b].sum() for a, b in zip(firsts.tolist(), (firsts + counts).tolist())]
+        per_r1[start:stop] = peaks + np.log(sums)
+        start = stop
     return LogReal(_log_sum_exp(per_r1))
 
 

@@ -9,10 +9,10 @@ references: recursive composition tuples and a sequential hill climb.
 The sampler's reference is the scalar Fisher-Yates loop, one stream
 output and one rejection test at a time, and the cycle census's is a
 recursive walk, one Python call per visited variable.  The exact
-second moment's reference takes its vertex and edge factors one overlap
-r1 at a time, four scalar log-binomials each, and the exact joint
-moment E[Z X_l]'s reference takes one summand for each of the 2^l
-binary words on the l-cycle.  Redundant constraint pairs are tallied row by row in a Counter.
+second moment's reference takes its vertex and edge factors (four
+scalar log-binomials each), its terms and its sums one overlap r1 at a
+time, and the exact joint moment E[Z X_l]'s reference takes one summand
+for each of the 2^l binary words on the l-cycle.  Redundant constraint pairs are tallied row by row in a Counter.
 A contraction coefficient is bracketed by two closed forms that share
 no code with its search: the chi-square coefficient below and the
 Dobrushin coefficient above.
@@ -249,10 +249,12 @@ def census_walk_reference(cfg: Configuration, l_max: int) -> tuple:
 
 
 def second_moment_ratio_reference(params: Params) -> float:
-    """ln(E[Z^2]/E[Z]^2) with the r1 factors computed inside the r1 loop.
+    """ln(E[Z^2]/E[Z]^2) one overlap r1 at a time, its factors computed inside the loop.
 
-    The sum over r2 is the library's, so the result must be bit-identical
-    to ``second_moment_exact_ratio``.
+    Each r1 gets its own range of r2, its own terms and its own
+    log-sum-exp.  The elementwise expressions and each r1's pairwise
+    ``.sum()`` are those of ``second_moment_exact_ratio``, which builds
+    the terms of many r1 at once, so the result must be bit-identical.
     """
     n1 = ones_quota(params)
     if n1 is None:

@@ -4,6 +4,7 @@ import argparse
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -321,6 +322,18 @@ class TestErrorContract:
         channel.write_text("n_in = 2\nn_out = 2\nmatrix = [0.9, 0.1, 0.2, 0.8]\np_star = [0.5, 0.5]\n")
         assert run(["sdpi", "--channel", str(channel), "--grid-depth", "20", "--refine-tol", "0"]) == 2
         assert "need a finite refine_tol > 0, got 0.0" in capsys.readouterr().err
+
+    def test_oversized_grid_exits_2_at_once(self, tmp_path, capsys):
+        # 10 inputs at the default depth 200: C(209, 9) = 1.76e15 grid points.
+        channel = tmp_path / "channel.txt"
+        matrix = np.random.default_rng(10).dirichlet(np.ones(3), size=10).T
+        channel.write_text(format_channel(Pmf(np.full(10, 0.1)), Channel(matrix)))
+        start = time.perf_counter()
+        assert run(["sdpi", "--channel", str(channel)]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert "a depth-200 grid on 10 inputs has 1760806558963166 points" in err
+        assert "use a smaller --grid-depth" in err
 
     @pytest.mark.parametrize("argv", [["conjecture", "--k", "5", "--refine-tol", "1e-8"],
                                       ["cycles", "--k", "4", "--d", "3", "--n", "40", "--samples", "3",

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from occuthresh import moments
 from occuthresh.errors import CapacityError, ParameterError
 from occuthresh.instances import Params
 from occuthresh.moments import (
@@ -31,6 +32,7 @@ from occuthresh.moments import (
     w_star,
 )
 from occuthresh.numerics import kl_divergence_rows
+from occuthresh.occupancy import ones_quota
 from occuthresh.cycles import delta_l, lambda_l, mu_l
 
 from tests.oracles import joint_moment_reference, second_moment_ratio_reference
@@ -222,14 +224,33 @@ class TestSecondMoment:
     def test_fractional_quota_flag(self):
         assert second_moment_exact_ratio(Params(n=3, d=4, k=4, r=2)).is_zero
 
-    def test_matches_scalar_loop_reference(self):
+    def test_matches_scalar_loop_reference(self, monkeypatch):
+        """Bit for bit against one r1 at a time, across every kind of chunk boundary.
+
+        A limit of 1 puts each r1 in a chunk of its own, 7 groups short
+        rows and leaves longer ones alone, 2^15 is the default.  The
+        table holds fractional quotas (k = 4, d = 4, n = 3; k = 8, d = 4,
+        n = 30) and n = 4000.
+        """
         cases = [(k, d, n) for k in (4, 5, 6, 8) for d in (2, 3, 4, 6)
-                 for n in (4, 8, 12, 30, 60, 120, 400, 1000)]
-        for k, d, n in cases:
-            if (d * n) % k:
-                continue
-            params = Params(n=n, d=d, k=k, r=2)
-            assert second_moment_exact_ratio(params).value == second_moment_ratio_reference(params), (k, d, n)
+                 for n in (3, 4, 8, 12, 30, 60, 120, 400, 1000) if (d * n) % k == 0]
+        cases += [(4, 2, 4000), (4, 3, 4000), (6, 4, 2400)]
+        params = [Params(n=n, d=d, k=k, r=2) for k, d, n in cases]
+        assert sum(ones_quota(p) is None for p in params) >= 2
+        expected = [second_moment_ratio_reference(p) for p in params]
+        for chunk in (1, 7, 1 << 15):
+            monkeypatch.setattr(moments, "_CHUNK_TERMS", chunk)
+            for p, value in zip(params, expected):
+                assert second_moment_exact_ratio(p).value == value, (p, chunk)
+
+    def test_no_r1_row_is_empty(self):
+        """Every r1 <= n1 = 2m/d has d*r1 - m <= d*r1/2, so the chunked sum never meets an empty row."""
+        for k in (4, 5, 6, 8, 12):
+            for d in (2, 3, 4, 5, 7):
+                for n in range(k, 241, k):
+                    params = Params(n=n, d=d, k=k, r=2)
+                    n1, m = 2 * n // k, params.m
+                    assert all(max(0, d * r1 - m) <= (d * r1) // 2 for r1 in range(n1 + 1)), (k, d, n)
 
     def test_term_count_matches_region(self):
         for k in (4, 5, 6, 8):

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from occuthresh import sdpi
-from occuthresh.errors import CertificateError, ContractViolation, ParameterError, ParseError
+from occuthresh.errors import (
+    CapacityError,
+    CertificateError,
+    ContractViolation,
+    ParameterError,
+    ParseError,
+)
 from occuthresh.moments import (
     OverlapPoint,
     input_count_pmf,
@@ -223,8 +229,8 @@ class TestContractionCoefficient:
             assert arg_c.weights.tobytes() == arg_f.weights.tobytes(), trial
 
 
-def _random_channel(rng, n_in):
-    matrix = rng.dirichlet(np.ones(3), size=n_in).T
+def _random_channel(rng, n_in, n_out=3):
+    matrix = rng.dirichlet(np.ones(n_out), size=n_in).T
     return Pmf(rng.dirichlet(np.ones(n_in) * 4.0)), Channel(matrix)
 
 
@@ -278,6 +284,57 @@ class TestStreamedGrid:
             contraction_coefficient(Pmf(np.array([0.2, 0.3, 0.5])), Channel(np.eye(3)), grid_depth=10)
         assert len(calls) == 3
 
+    @pytest.mark.parametrize("n_out", [2, 3, 8, 9])
+    @pytest.mark.parametrize("parts, depth", [(2, 60), (3, 30), (4, 16), (5, 10), (6, 8), (7, 6)])
+    def test_ratios_match_c_order_rows(self, monkeypatch, parts, depth, n_out):
+        """Below 8 inputs the column-built blocks score every point as C-order rows do."""
+        p_star, channel = _random_channel(np.random.default_rng(10 * parts + n_out), parts, n_out)
+        args = (channel.matrix, p_star.weights, channel.apply(p_star).weights)
+        ref = sdpi._ratio_rows(grid_reference(depth, parts), *args)
+        for block_rows in (5, sdpi._BLOCK_ROWS):
+            monkeypatch.setattr(sdpi, "_BLOCK_ROWS", block_rows)
+            got = np.concatenate([sdpi._ratio_rows(b, *args) for b in sdpi._grid_blocks(depth, parts)])
+            assert got.tobytes() == ref.tobytes()
+            assert np.argmax(got) == np.argmax(ref)
+
+    @pytest.mark.parametrize("n_out", [2, 9])
+    @pytest.mark.parametrize("parts", [8, 9, 10])
+    def test_wide_rows_move_by_an_ulp(self, parts, n_out):
+        """From 8 inputs numpy sums a C-order row pairwise and a column-built one left to right.
+
+        The normalised grid entries then differ from the reference's by
+        at most one ulp.  The ratios differ by less than 1e-10 relative:
+        next to p* the input divergence loses digits to cancellation
+        (see ``kl_divergence_rows``), which magnifies that ulp.  The grid
+        winner is the same point.
+        """
+        depth = 6
+        p_star, channel = _random_channel(np.random.default_rng(parts + n_out), parts, n_out)
+        args = (channel.matrix, p_star.weights, channel.apply(p_star).weights)
+        ref = grid_reference(depth, parts)
+        grid = np.concatenate(list(sdpi._grid_blocks(depth, parts)))
+        assert np.all(np.abs(grid - ref) <= np.spacing(ref))
+        ref_ratios = sdpi._ratio_rows(ref, *args)
+        ratios = sdpi._ratio_rows(grid, *args)
+        finite = np.isfinite(ref_ratios)
+        assert np.array_equal(finite, np.isfinite(ratios))
+        assert np.all(np.abs(ratios - ref_ratios)[finite] <= 1e-10 * ref_ratios[finite])
+        assert np.argmax(ratios) == np.argmax(ref_ratios)
+
+    def test_oversized_grid_raises_before_building(self, monkeypatch):
+        p_star, channel = _random_channel(np.random.default_rng(3), 4)
+        points = math.comb(20 + 3, 3)
+        monkeypatch.setattr(sdpi, "_GRID_POINTS", points)
+        contraction_coefficient(p_star, channel, grid_depth=20, refine_tol=1e-6)
+
+        def unreached(*args):
+            raise AssertionError("grid built")
+
+        monkeypatch.setattr(sdpi, "_GRID_POINTS", points - 1)
+        monkeypatch.setattr(sdpi, "_grid_blocks", unreached)
+        with pytest.raises(CapacityError, match=f"has {points} points, over the limit of {points - 1}"):
+            contraction_coefficient(p_star, channel, grid_depth=20)
+
     def test_all_excluded_grid_raises(self):
         # A single input: the one grid point is p* itself, excluded, so every ratio is -inf.
         with pytest.raises(ParameterError, match="no admissible grid point"):
@@ -323,6 +380,46 @@ class TestBatchedRefine:
             )
             assert v.hex() == v_ref.hex(), trial
             assert p.tobytes() == p_ref.tobytes(), trial
+
+    # perfbench's near-p* channel (CLIFF_SEED = 8): the climb from its grid
+    # winner takes thousands of step-sized moves towards p*.
+    CLIFF_MATRIX = [
+        [0.2710405416979102, 0.14149395982112772, 0.7276629015051393],
+        [0.7289594583020899, 0.8585060401788723, 0.2723370984948606],
+    ]
+    CLIFF_P_STAR = [0.1044250997193062, 0.4746220353054952, 0.4209528649751986]
+
+    @staticmethod
+    def _recorded_batches(monkeypatch):
+        ratio_rows, batches = sdpi._ratio_rows, []
+
+        def recording(ps, *args):
+            batches.append(ps.copy())
+            return ratio_rows(ps, *args)
+
+        monkeypatch.setattr(sdpi, "_ratio_rows", recording)
+        return batches
+
+    @staticmethod
+    def _repeats(batches):
+        return sum(
+            a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in zip(batches, batches[1:])
+        )
+
+    def test_cliff_channel_evaluates_each_batch_once(self, monkeypatch):
+        batches = self._recorded_batches(monkeypatch)
+        p_star, channel = Pmf(np.array(self.CLIFF_P_STAR)), Channel(np.array(self.CLIFF_MATRIX))
+        contraction_coefficient(p_star, channel, grid_depth=100)
+        assert len(batches) == 3400  # one grid block, then 3399 refine batches
+        assert self._repeats(batches) == 0
+
+    @pytest.mark.parametrize("n_in", [2, 3, 4])
+    def test_no_batch_is_evaluated_twice_in_a_row(self, monkeypatch, n_in):
+        batches = self._recorded_batches(monkeypatch)
+        rng = np.random.default_rng(600 + n_in)
+        for _ in range(4):
+            contraction_coefficient(*_random_channel(rng, n_in), grid_depth=20, refine_tol=1e-8)
+        assert self._repeats(batches) == 0
 
 
 class TestOccupationContraction:
