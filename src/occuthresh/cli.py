@@ -82,7 +82,6 @@ _FLAGS = {
     "--threads": dict(type=int),
     "--channel": dict(required=True, help="channel/pmf document path"),
     "--grid-depth": dict(type=int, default=200),
-    "--refine-tol": dict(type=float, default=1e-10),
     "--grid-points": dict(type=int, default=20001),
     "--root-tol": dict(type=float, default=1e-12),
     "--simple": dict(action="store_true", help="reject instances with two-cycles"),
@@ -117,7 +116,7 @@ def _build_parser() -> argparse.ArgumentParser:
     command("cycles", "short-cycle census statistics vs Poisson limits",
             "k d n samples seed l-max threads")
     command("moments", "exact and asymptotic moment report", "k d n l exact")
-    command("sdpi", "contraction coefficient of a channel file", "channel grid-depth refine-tol")
+    command("sdpi", "contraction coefficient of a channel file", "channel grid-depth")
     command("verify-k4", "run the k=4 contraction certificate", "grid-points root-tol")
     command("conjecture", "occupation contraction supremum vs conjectured value",
             "k grid-depth")
@@ -238,9 +237,7 @@ def _run_moments(args) -> list[str]:
 
 def _run_sdpi(args) -> list[str]:
     p_star, channel = parse_channel(_read_input(args.channel))
-    value, argmax = contraction_coefficient(
-        p_star, channel, grid_depth=args.grid_depth, refine_tol=args.refine_tol
-    )
+    value, argmax = contraction_coefficient(p_star, channel, grid_depth=args.grid_depth)
     arg = ", ".join(repr(float(v)) for v in argmax.weights)
     return [f"d_star = {value!r}", f"argmax = [{arg}]"]
 

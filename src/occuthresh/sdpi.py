@@ -1,17 +1,15 @@
 """KL contraction coefficients and the complete k = 4 certificate.
 
 The generic coefficient sup KL(Wp || Wp*) / KL(p || p*) is estimated by
-``contraction_coefficient``: it scores a dense simplex grid in
-lexicographic composition order, streamed in numpy blocks of about 2^15
-points so memory does not grow with the grid, keeps the first best (a
-later point wins only by a strictly larger ratio) and refines the
-winner by simplex moves, each step evaluating its moves in one batch
-and accepting strict improvements only.  Each block is built column by
-column in Fortran order, whose row sums are faster than those of
-3- or 4-entry C-order rows and, below 8 inputs, carry the same bits.
-The refine evaluates the moves from a point at a step once, however
-many passes scan them.  A grid of more than 2e8 points is refused with
-:class:`CapacityError` before any of it is built.
+``contraction_coefficient`` over exponential tilts of p*.  The
+I-projection of p* onto {p' : Wp' = Wp} has the output of p and no more
+input divergence, and it lies in the closure of the tilts
+p_lambda = softmax(ln p* + B lambda), B spanning the row space of W
+less the constants (Csiszar, Ann. Probab. 1975).  So the supremum is
+one over lambda in rank(W) - 1 dimensions, whatever the number of
+inputs, and its limit at lambda = 0 is rho^2, the chi-square
+coefficient.  One SVD gives the rank, rho^2, and a B orthonormal under
+p* along the singular vectors at p*.
 
 The occupation channel maps the shared-ones count of a constraint to
 its output count; its columns are ``moments.output_count_pmf`` at
@@ -88,57 +86,16 @@ def divergence_ratio(w: OverlapPoint, k: int) -> float:
     return output_kl(w, k) / denom
 
 
-_BLOCK_ROWS = 1 << 15  # grid rows evaluated per block, to bound memory
-_GRID_POINTS = 2 * 10**8  # largest simplex grid scored, the scale of moments._EXACT_TERMS
+_BLOCK_POINTS = 1 << 15  # tilt points scored per block, to bound memory
+_GRID_POINTS = 2 * 10**8  # largest tilt grid scored, the scale of moments._EXACT_TERMS
+_RADII = (1e-3, 20.0)  # first radius of each ladder, and its last times the spread of B u
+_STEP_TOL = 1e-9  # the refine stops once its step falls below this
+_DIRECTIONS = 320  # most directions scored when m >= 2, whatever m (reach 40 on a plane)
 
 
-def _extend(cols: list, left: np.ndarray, count: int):
-    # Follow each row of the columns ``cols`` by every choice of its next
-    # ``count`` entries, in lexicographic order; ``left`` is what each row
-    # has still to place.
-    for _ in range(count):
-        counts = left + 1
-        owner = np.repeat(np.arange(left.size), counts)
-        entry = np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts)
-        cols = [c[owner] for c in cols] + [entry]
-        left = left[owner] - entry
-    return cols, left
-
-
-def _grid_blocks(depth: int, parts: int):
-    """Yield the depth-``depth`` simplex grid as blocks of normalised pmf rows.
-
-    The rows are the compositions of ``depth`` into ``parts`` entries in
-    lexicographic order (the first is (0, ..., 0, depth)).  A block holds
-    every composition under a run of leading entries, at least
-    ``_BLOCK_ROWS`` rows unless it is the last.  A 1-row last block joins
-    the one before it: a 1-row matmul takes another BLAS path, whose bits
-    can differ.  Blocks are built column by column in Fortran order:
-    numpy sums a row across columns left to right, much faster than
-    along 3- or 4-entry rows, and with the same bits as a C-order row
-    below 8 entries (from 8 on, a C-order row is summed pairwise).
-    """
-    lead = next(
-        n for n in range(parts) if math.comb(depth + parts - 1 - n, parts - 1 - n) <= _BLOCK_ROWS
-    )
-    heads, left = _extend([], np.array([depth]), lead)
-    cuts, rows = [0], 0
-    for end, rest in enumerate(left.tolist(), 1):
-        rows += math.comb(rest + parts - 1 - lead, parts - 1 - lead)
-        if rows >= _BLOCK_ROWS:
-            cuts.append(end)
-            rows = 0
-    if rows == 1 and len(cuts) > 1:
-        cuts[-1] = left.size
-    elif rows:
-        cuts.append(left.size)
-    for a, b in zip(cuts, cuts[1:]):
-        cols, rest = _extend([h[a:b] for h in heads], left[a:b], parts - 1 - lead)
-        grid = np.empty((rest.size, parts), order="F")
-        for j, col in enumerate(cols + [rest]):
-            np.divide(col, depth, out=grid[:, j])
-        grid /= grid.sum(axis=1, keepdims=True)
-        yield grid
+def _shell(m: int, reach: int) -> int:
+    # the integer points v in m dimensions with max |v_i| = reach
+    return (2 * reach + 1) ** m - (2 * reach - 1) ** m
 
 
 def _ratio_rows(ps: np.ndarray, matrix: np.ndarray, p_star: np.ndarray, q_star: np.ndarray):
@@ -151,35 +108,48 @@ def _ratio_rows(ps: np.ndarray, matrix: np.ndarray, p_star: np.ndarray, q_star: 
     return np.where(tv <= _EXCLUSION_TV, -np.inf, ratios)
 
 
-def _refine_simplex(p, value, matrix, p_star, q_star, start_step: float, tol: float):
-    # Hill climbing along pairwise mass moves e_i - e_j, taken in (i, j)
-    # order; strict improvements only, step halved when a pass finds none.
-    # Each batch evaluates every move from the current point, so it never
-    # has a single row (see _grid_blocks), and the pass goes on after the
-    # first admissible improving move left in it, from the improved point.
-    # A pass that ends after a move but before the last one leaves the
-    # next pass at the same point and step: it rescans the batch it has
-    # from the first move instead of evaluating it again.
-    src, dst = np.nonzero(~np.eye(p.size, dtype=bool))
-    moves = np.eye(p.size)[src] - np.eye(p.size)[dst]
-    step = start_step
-    while step >= tol:
-        at, fresh = 0, True
-        while True:
-            if fresh:
-                cands = p + step * moves
-                cands /= cands.sum(axis=1, keepdims=True)
-                ratios = _ratio_rows(cands, matrix, p_star, q_star)
-            better = np.flatnonzero(((p[dst] >= step) & (ratios > value))[at:])
-            if better.size:
-                i = at + better[0]
-                p, value = cands[i], float(ratios[i])
-                at, fresh = (i + 1) % src.size, True  # past the last move a new pass starts
-            elif at:
-                at, fresh = 0, False
-            else:
-                break
-        step *= 0.5
+def _tilted(lams: np.ndarray, basis: np.ndarray, log_p: np.ndarray) -> np.ndarray:
+    # p_lambda = softmax(ln p* + B lambda), one row per row of ``lams``
+    logits = log_p + lams @ basis.T
+    logits -= logits.max(axis=1, keepdims=True)
+    ps = np.exp(logits)
+    return ps / ps.sum(axis=1, keepdims=True)
+
+
+def _directions(m: int, reach: int, rows: int):
+    """Yield v / |v| for the integer v with max |v_i| = ``reach``, at most ``rows`` per block.
+
+    The points whose first coordinate of size ``reach`` is v_a come
+    together: v_i lies strictly inside (-reach, reach) for i < a and
+    anywhere in [-reach, reach] for i > a, so each point comes once.
+    """
+    for a in range(m):
+        sides = [2 * reach - 1] * a + [2 * reach + 1] * (m - 1 - a)
+        count = math.prod(sides)
+        for sign in (reach, -reach):
+            for start in range(0, count, rows):
+                index = np.arange(start, min(start + rows, count))
+                digits = np.unravel_index(index, sides) if sides else ()
+                rest = [d - s // 2 for d, s in zip(digits, sides)]
+                v = np.column_stack(rest[:a] + [np.full(index.size, sign)] + rest[a:])
+                yield v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def _refine(lam, p, value, step, basis, log_p, args):
+    # Pattern search: the 2m moves +-step e_i in one batch, the first best
+    # strict improvement taken; the step grows by 1.5 after a success and
+    # halves after a failure.
+    moves = np.concatenate([np.eye(lam.size), -np.eye(lam.size)])
+    while step >= _STEP_TOL:
+        lams = lam + step * moves
+        ps = _tilted(lams, basis, log_p)
+        ratios = _ratio_rows(ps, *args)
+        i = int(np.argmax(ratios))
+        if ratios[i] > value:
+            lam, p, value = lams[i], ps[i], float(ratios[i])
+            step *= 1.5
+        else:
+            step *= 0.5
     return p, value
 
 
@@ -187,26 +157,28 @@ def contraction_coefficient(
     p_star: Pmf,
     channel: Channel,
     grid_depth: int = 200,
-    refine_tol: float = 1e-10,
 ) -> tuple[float, Pmf]:
     """Estimate d*(P*, W) = sup KL(Wp||Wp*)/KL(p||p*) over p != p*.
 
-    Dense simplex grid of the given composition depth (points within
-    1e-9 total variation of p* are excluded), then simplex-move
-    refinement down to ``refine_tol``, which must be finite and
-    positive.  The grid is streamed in blocks of about 2^15 points, so
-    memory does not grow with the grid; a grid of more than
+    Searches the tilts p_lambda of the module docstring.  The directions
+    are v / |v| for the integer points v with max |v_i| = D, D the
+    largest reach with at most ``_DIRECTIONS`` = 320 such points (D = 40
+    in 2 dimensions, 3 in 3, 1 from 4 on, where from 6 on the 3^m - 1
+    points of D = 1 exceed 320), so the count does not grow with m
+    until there.  Along each, ``grid_depth`` (at most 2^15 - 1)
+    geometric radii run from 1e-3 until B lambda spreads over 20, then
+    comes the face limit, p* restricted to the inputs where B lambda is
+    largest.  Points within 1e-9 total variation of p* are excluded, and ties keep
+    the first point scored.  When the best point is a finite lambda, a
+    pattern search refines it.  The result is the larger of that value
+    and rho^2; when rho^2 is larger, the argmax is p* itself.  Points
+    are scored in blocks of at most 2^15; a grid of more than
     ``_GRID_POINTS`` points raises :class:`CapacityError` before any of
-    it is built.
-    Deterministic: grid ties keep the lexicographically first
-    composition.  The reference pmf must have full support.  np.argmax
-    returns the first NaN, so a NaN or +inf block winner fails as a
-    winner of all points would, and so does a grid of excluded points.
+    it is built.  The reference pmf must have full support and at least
+    two inputs, and a NaN or +inf ratio raises.
     """
     if grid_depth < 2:
         raise ParameterError(f"need grid_depth >= 2, got {grid_depth}")
-    if not (math.isfinite(refine_tol) and refine_tol > 0.0):
-        raise ParameterError(f"need a finite refine_tol > 0, got {refine_tol}")
     if channel.n_in != len(p_star):
         raise ContractViolation(
             f"channel expects {channel.n_in} inputs, reference pmf has {len(p_star)}"
@@ -214,26 +186,53 @@ def contraction_coefficient(
     zeros = np.flatnonzero(p_star.weights == 0.0)
     if zeros.size:
         raise ParameterError(f"reference pmf needs full support, but p_star[{zeros[0]}] = 0")
-    points = math.comb(grid_depth + len(p_star) - 1, len(p_star) - 1)
+    if len(p_star) < 2:
+        raise ParameterError("no admissible grid point: a single input has no pmf but p*")
+    matrix, p = channel.matrix, p_star.weights
+    q = matrix @ p
+    # S = diag(q*)^-1/2 W diag(p*)^1/2 less its top singular triple (1, sqrt(q*), sqrt(p*))
+    keep = q > 0.0
+    root_p, root_q = np.sqrt(p), np.sqrt(q[keep])
+    _, sv, vt = np.linalg.svd(matrix[keep] * root_p / root_q[:, None] - np.outer(root_q, root_p))
+    m = int(np.count_nonzero(sv > max(matrix.shape) * np.finfo(float).eps))
+    basis = vt[:m].T / root_p[:, None]
+    reach, ladder = 1, min(grid_depth, _BLOCK_POINTS - 1)
+    while m > 1 and _shell(m, reach + 1) <= _DIRECTIONS:
+        reach += 1
+    points = _shell(m, reach) * (ladder + 1)
     if points > _GRID_POINTS:
         raise CapacityError(
-            f"a depth-{grid_depth} grid on {len(p_star)} inputs has {points} points, "
+            f"a depth-{grid_depth} tilt grid in {m} dimensions has {points} points, "
             f"over the limit of {_GRID_POINTS}; use a smaller --grid-depth"
         )
-    args = (channel.matrix, p_star.weights, channel.apply(p_star).weights)
-    best, argbest = -np.inf, None
-    for rows in _grid_blocks(grid_depth, len(p_star)):
-        ratios = _ratio_rows(rows, *args)
+    args, log_p = (matrix, p, q), np.log(p)
+    rungs = np.linspace(0.0, 1.0, ladder)
+    best, argbest, start = -np.inf, p, None
+    for us in _directions(m, reach, _BLOCK_POINTS // (ladder + 1)):
+        vs = us @ basis.T
+        top, spread = vs.max(axis=1, keepdims=True), np.ptp(vs, axis=1, keepdims=True)
+        faces = np.where(vs >= top - 1e-12 * spread, p, 0.0)  # ties at the top within rounding
+        faces /= faces.sum(axis=1, keepdims=True)
+        radii = _RADII[0] * (_RADII[1] / (_RADII[0] * spread)) ** rungs
+        lams = (us[:, None, :] * radii[:, :, None]).reshape(-1, m)
+        ps = np.concatenate(
+            [_tilted(lams, basis, log_p).reshape(len(us), ladder, -1), faces[:, None, :]], axis=1
+        ).reshape(-1, len(p))
+        ratios = _ratio_rows(ps, *args)
         i = int(np.argmax(ratios))
         if not ratios[i] < np.inf:
-            best = np.nan
-            break
+            raise ParameterError(f"non-finite ratio {float(ratios[i])!r} at a grid point")
         if ratios[i] > best:
-            best, argbest = float(ratios[i]), rows[i].copy()
-    if not np.isfinite(best):
-        raise ParameterError("no admissible grid point; reference pmf degenerate?")
-    p, value = _refine_simplex(argbest, best, *args, start_step=1.0 / grid_depth, tol=refine_tol)
-    return value, Pmf(p)
+            best, argbest = float(ratios[i]), ps[i].copy()
+            d, r = divmod(i, ladder + 1)
+            start = lams[d * ladder + r].copy() if r < ladder else None
+    if start is not None:
+        step = float(np.linalg.norm(start)) / reach
+        argbest, best = _refine(start, argbest, best, step, basis, log_p, args)
+    rho2 = float(sv[0] ** 2)
+    if rho2 > best:
+        best, argbest = rho2, p
+    return best, Pmf(argbest)
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,9 @@ These deliberately avoid the library's counting paths: solution counts
 come from sweeping all 2^n assignments against per-constraint sums, and
 ensemble expectations from enumerating every wiring permutation of the
 smallest nontrivial family (k=4, d=2, n=4; 8! = 40320 configurations).
-The contraction grid and its refinement have one-point-at-a-time
-references: recursive composition tuples and a sequential hill climb.
+A contraction coefficient's search over exponential tilts is checked
+against a polar grid around p* in the simplex, which knows nothing of
+tilts.
 The sampler's reference is the scalar Fisher-Yates loop, one stream
 output and one rejection test at a time, and the cycle census's is a
 recursive walk, one Python call per visited variable.  The exact
@@ -96,49 +97,41 @@ def exhaustive_k4_d2_n4() -> dict:
     }
 
 
-def compositions_reference(total: int, parts: int):
-    """Compositions of ``total`` into ``parts`` entries, lexicographic, as tuples."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in compositions_reference(total - first, parts - 1):
-            yield (first,) + rest
+def polar_grid_reference(
+    matrix: np.ndarray, p_star: np.ndarray, directions: int, radii: int
+) -> float:
+    """Largest KL(Wp||Wp*)/KL(p||p*) over a polar grid around p* in the simplex, 2 to 4 inputs.
 
-
-def grid_reference(depth: int, parts: int) -> np.ndarray:
-    """The simplex grid as pmf rows: compositions / depth, normalised by the row sum."""
-    grid = np.array(list(compositions_reference(depth, parts)), dtype=float) / depth
-    return grid / grid.sum(axis=1, keepdims=True)
-
-
-def refine_sequential(p, value, evaluate, start_step: float, tol: float):
-    """Hill climb along pairwise moves e_i - e_j, one candidate at a time.
-
-    Moves are tried in (i, j) order and a strict improvement is taken at
-    once; the pass goes on from the improved point, passes repeat until
-    one improves nothing, then the step halves, down to ``tol``.
-    ``evaluate(p)`` gives the objective at one point.
+    The points are p* + t u for unit vectors u with zero sum: both signs
+    for 2 inputs, ``directions`` angles for 3 and a Fibonacci sphere of
+    ``directions`` points for 4.  Along each u, t runs over ``radii``
+    geometric steps from 2e-2 of the way to the simplex boundary up to
+    the boundary itself.  The divergences are plain sums of p ln(p/q).
     """
-    m = p.size
-    step = start_step
-    while step >= tol:
-        improved = True
-        while improved:
-            improved = False
-            for i, j in itertools.product(range(m), range(m)):
-                if i == j or p[j] < step:
-                    continue
-                cand = p.copy()
-                cand[i] += step
-                cand[j] -= step
-                cand /= cand.sum()
-                v = evaluate(cand)
-                if v > value:
-                    p, value = cand, v
-                    improved = True
-        step *= 0.5
-    return p, value
+    n = p_star.size
+    tangent = np.linalg.svd(np.eye(n) - 1.0 / n)[0][:, : n - 1]  # orthonormal, zero column sums
+    if n == 2:
+        coords = np.array([[1.0], [-1.0]])
+    elif n == 3:
+        angle = 2.0 * np.pi * np.arange(directions) / directions
+        coords = np.column_stack([np.cos(angle), np.sin(angle)])
+    else:
+        z = 1.0 - (2.0 * np.arange(directions) + 1.0) / directions
+        angle = np.pi * (3.0 - np.sqrt(5.0)) * np.arange(directions)
+        ring = np.sqrt(1.0 - z * z)
+        coords = np.column_stack([ring * np.cos(angle), ring * np.sin(angle), z])
+    us = coords @ tangent.T
+    with np.errstate(divide="ignore"):
+        reach = np.where(us < 0.0, p_star / -us, np.inf).min(axis=1)
+    ps = p_star + (reach[:, None] * np.geomspace(2e-2, 1.0, radii))[:, :, None] * us[:, None, :]
+    ps = np.clip(ps.reshape(-1, n), 0.0, None)
+
+    def kl(rows, ref):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = rows * np.log(rows / ref)
+        return np.where(rows > 0.0, terms, 0.0).sum(axis=1)
+
+    return float(np.max(kl(ps @ matrix.T, matrix @ p_star) / kl(ps, p_star)))
 
 
 def chi2_coefficient(matrix: np.ndarray, p_star: np.ndarray) -> float:

@@ -207,9 +207,7 @@ def test_criterion_08_generic_sdpi():
         n_out = int(rng.integers(2, 4))
         matrix = rng.dirichlet(np.ones(n_out), size=n_in).T
         p_star = rng.dirichlet(np.ones(n_in) * 5.0)
-        value, _ = contraction_coefficient(
-            Pmf(p_star), Channel(matrix), grid_depth=40, refine_tol=1e-8
-        )
+        value, _ = contraction_coefficient(Pmf(p_star), Channel(matrix), grid_depth=40)
         assert 0.0 <= value <= 1.0 + 1e-9
 
 

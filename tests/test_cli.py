@@ -15,6 +15,7 @@ from occuthresh.numerics import Channel, Pmf
 from occuthresh.sdpi import format_channel
 
 from tests.case_limit import time_limit
+from tests.oracles import chi2_coefficient, dobrushin_coefficient
 
 
 def data_section(path) -> list[str]:
@@ -189,6 +190,19 @@ class TestSdpiSubcommand:
         assert "d_star = " in out
         assert "argmax = [" in out
 
+    @pytest.mark.parametrize("n_in, n_out", [(10, 3), (5, 5)])
+    def test_runs_at_default_depth(self, tmp_path, capsys, n_in, n_out):
+        # The tilts move in rank(W) - 1 dimensions, 2 for a 10 x 3 channel however
+        # many inputs there are, and 4 for a 5 x 5 one along no more directions.
+        path = tmp_path / "generic.channel"
+        rng = np.random.default_rng(10 * n_in + n_out)
+        matrix = rng.dirichlet(np.ones(n_out), size=n_in).T
+        p_star = rng.dirichlet(np.full(n_in, 2.0))
+        path.write_text(format_channel(Pmf(p_star), Channel(matrix)))
+        assert run(["sdpi", "--channel", str(path)]) == 0
+        value = float(capsys.readouterr().out.split("d_star = ")[1].split()[0])
+        assert chi2_coefficient(matrix, p_star) <= value <= dobrushin_coefficient(matrix)
+
 
 class TestVerifyK4:
     def test_certificate_file(self, tmp_path):
@@ -317,27 +331,24 @@ class TestErrorContract:
         assert run(["sdpi", "--channel", str(channel)]) == 2
         assert "reference pmf needs full support, but p_star[1] = 0" in capsys.readouterr().err
 
-    def test_zero_refine_tol_exits_2(self, tmp_path, capsys):
-        channel = tmp_path / "channel.txt"
-        channel.write_text("n_in = 2\nn_out = 2\nmatrix = [0.9, 0.1, 0.2, 0.8]\np_star = [0.5, 0.5]\n")
-        assert run(["sdpi", "--channel", str(channel), "--grid-depth", "20", "--refine-tol", "0"]) == 2
-        assert "need a finite refine_tol > 0, got 0.0" in capsys.readouterr().err
-
     def test_oversized_grid_exits_2_at_once(self, tmp_path, capsys):
-        # 10 inputs at the default depth 200: C(209, 9) = 1.76e15 grid points.
+        # 10 inputs and 10 outputs: rank 10, tilts in 9 dimensions, whose
+        # fewest directions are the 3^9 - 1 = 19682 of the unit cube shell;
+        # at depth 20000 that is 19682 * 20001 = 3.9e8 grid points.
         channel = tmp_path / "channel.txt"
-        matrix = np.random.default_rng(10).dirichlet(np.ones(3), size=10).T
+        matrix = np.random.default_rng(10).dirichlet(np.ones(10), size=10).T
         channel.write_text(format_channel(Pmf(np.full(10, 0.1)), Channel(matrix)))
         start = time.perf_counter()
-        assert run(["sdpi", "--channel", str(channel)]) == 2
+        assert run(["sdpi", "--channel", str(channel), "--grid-depth", "20000"]) == 2
         assert time.perf_counter() - start < 1.0
         err = capsys.readouterr().err
-        assert "a depth-200 grid on 10 inputs has 1760806558963166 points" in err
+        assert "a depth-20000 tilt grid in 9 dimensions has 393659682 points" in err
         assert "use a smaller --grid-depth" in err
 
     @pytest.mark.parametrize("argv", [["conjecture", "--k", "5", "--refine-tol", "1e-8"],
+                                      ["sdpi", "--channel", "channel.txt", "--refine-tol", "1e-8"],
                                       ["cycles", "--k", "4", "--d", "3", "--n", "40", "--samples", "3",
-                                       "--seed", "1", "--r", "2"]], ids=["conjecture", "cycles"])
+                                       "--seed", "1", "--r", "2"]], ids=["conjecture", "sdpi", "cycles"])
     def test_removed_flag_exits_2_at_parse_time(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             run(argv)

@@ -67,7 +67,6 @@ def commands(channel: str, cfg: str, missing: str) -> dict:
         },
         "sdpi": {
             "--channel": (channel, paths), "--grid-depth": ("20", past(ints(-1, 40))),
-            "--refine-tol": ("1e-8", TOLS),
         },
         "verify-k4": {"--grid-points": ("20001", past(ints(-1, 30000))), "--root-tol": ("1e-12", TOLS)},
         "conjecture": {"--k": ("5", past(ints(-2, 40))), "--grid-depth": ("20", past(ints(-1, 40)))},

@@ -40,7 +40,10 @@ from occuthresh.sdpi import (
     occupation_contraction,
     parse_channel,
 )
-from tests.oracles import chi2_coefficient, dobrushin_coefficient, grid_reference, refine_sequential
+from tests.oracles import chi2_coefficient, dobrushin_coefficient, polar_grid_reference
+
+# exp/log overflow in the tilt search must fail, not warn, under any pytest configuration
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 # Depth-2000 grid oracle for BSC(0.1) with uniform reference, pinned once.
 BSC_GOLDEN = 0.639999961600007
@@ -187,9 +190,7 @@ class TestContractionCoefficient:
             n_out = int(rng.integers(2, 4))
             matrix = rng.dirichlet(np.ones(n_out), size=n_in).T
             p_star = rng.dirichlet(np.ones(n_in) * 5.0)  # concentrated away from edges
-            value, _ = contraction_coefficient(
-                Pmf(p_star), Channel(matrix), grid_depth=40, refine_tol=1e-8
-            )
+            value, _ = contraction_coefficient(Pmf(p_star), Channel(matrix), grid_depth=40)
             lo, hi = chi2_coefficient(matrix, p_star), dobrushin_coefficient(matrix)
             assert lo * (1 - 1e-9) <= value <= hi * (1 + 1e-9), trial
 
@@ -205,11 +206,6 @@ class TestContractionCoefficient:
         with pytest.raises(ParameterError, match=r"full support, but p_star\[1\] = 0"):
             contraction_coefficient(Pmf(np.array([1.0, 0.0, 0.0])), Channel(np.eye(3)))
 
-    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
-    def test_refine_tol_must_be_finite_and_positive(self, tol):
-        with pytest.raises(ParameterError, match="refine_tol"):
-            contraction_coefficient(Pmf(np.array([0.5, 0.5])), Channel(np.eye(2)), refine_tol=tol)
-
     @pytest.mark.parametrize("n_in", [2, 3])
     def test_result_independent_of_matrix_layout(self, n_in):
         """Row- and column-major copies of a channel give the same bits."""
@@ -218,10 +214,7 @@ class TestContractionCoefficient:
             p_star, channel = _random_channel(rng, n_in)
             (value_c, arg_c), (value_f, arg_f) = [
                 contraction_coefficient(
-                    p_star,
-                    Channel(np.array(channel.matrix, order=order)),
-                    grid_depth=30,
-                    refine_tol=1e-8,
+                    p_star, Channel(np.array(channel.matrix, order=order)), grid_depth=30
                 )
                 for order in ("C", "F")
             ]
@@ -235,40 +228,25 @@ def _random_channel(rng, n_in, n_out=3):
 
 
 class TestStreamedGrid:
-    @pytest.mark.parametrize("depth, parts", [(2, 2), (7, 5), (12, 4), (40, 3)])
-    @pytest.mark.parametrize("block_rows", [3, 5, sdpi._BLOCK_ROWS])
-    def test_blocks_match_tuple_grid(self, monkeypatch, depth, parts, block_rows):
-        monkeypatch.setattr(sdpi, "_BLOCK_ROWS", block_rows)
-        blocks = list(sdpi._grid_blocks(depth, parts))
-        assert all(len(b) >= 2 for b in blocks)
-        grid = np.concatenate(blocks)
-        ref = grid_reference(depth, parts)
-        assert grid.shape == ref.shape
-        assert grid.tobytes() == ref.tobytes()
+    """The tilt grid is scored in blocks of at most ``_BLOCK_POINTS`` points."""
 
-    @pytest.mark.parametrize("block_rows", [3, 5])
-    def test_block_size_leaves_results_unchanged(self, monkeypatch, block_rows):
+    @pytest.mark.parametrize("directions", [3, 5])
+    def test_block_size_leaves_results_unchanged(self, monkeypatch, directions):
         rng = np.random.default_rng(21)
         cases = [(Pmf(np.array([0.3, 0.3, 0.4])), Channel(np.eye(3)), 20)]  # all ratios tie at 1
         for n_in in (2, 3, 3, 4, 4):
             cases.append((*_random_channel(rng, n_in), 12))
-        expected = [contraction_coefficient(p, w, grid_depth=d, refine_tol=1e-8) for p, w, d in cases]
-        monkeypatch.setattr(sdpi, "_BLOCK_ROWS", block_rows)
+        expected = [contraction_coefficient(p, w, grid_depth=d) for p, w, d in cases]
         for (p, w, d), (value, argmax) in zip(cases, expected):
-            got, got_arg = contraction_coefficient(p, w, grid_depth=d, refine_tol=1e-8)
+            # a direction's d radii and face limit never split across blocks
+            monkeypatch.setattr(sdpi, "_BLOCK_POINTS", directions * (d + 1))
+            got, got_arg = contraction_coefficient(p, w, grid_depth=d)
             assert got.hex() == value.hex()
             assert got_arg.weights.tobytes() == argmax.weights.tobytes()
 
-    def test_identity_ties_keep_first_composition(self, monkeypatch):
-        monkeypatch.setattr(sdpi, "_BLOCK_ROWS", 3)
-        _, argmax = contraction_coefficient(
-            Pmf(np.array([0.3, 0.3, 0.4])), Channel(np.eye(3)), grid_depth=20
-        )
-        assert argmax.weights.tolist() == [0.0, 0.0, 1.0]
-
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_winner_in_a_later_block_raises(self, monkeypatch, bad):
-        monkeypatch.setattr(sdpi, "_BLOCK_ROWS", 5)
+        monkeypatch.setattr(sdpi, "_BLOCK_POINTS", 22)  # two directions of 11 points per block
         ratio_rows = sdpi._ratio_rows
         calls = []
 
@@ -280,109 +258,115 @@ class TestStreamedGrid:
             return ratios
 
         monkeypatch.setattr(sdpi, "_ratio_rows", poisoned)
-        with pytest.raises(ParameterError, match="no admissible grid point"):
+        with pytest.raises(ParameterError, match=f"non-finite ratio {bad!r} at a grid point"):
             contraction_coefficient(Pmf(np.array([0.2, 0.3, 0.5])), Channel(np.eye(3)), grid_depth=10)
         assert len(calls) == 3
 
-    @pytest.mark.parametrize("n_out", [2, 3, 8, 9])
-    @pytest.mark.parametrize("parts, depth", [(2, 60), (3, 30), (4, 16), (5, 10), (6, 8), (7, 6)])
-    def test_ratios_match_c_order_rows(self, monkeypatch, parts, depth, n_out):
-        """Below 8 inputs the column-built blocks score every point as C-order rows do."""
-        p_star, channel = _random_channel(np.random.default_rng(10 * parts + n_out), parts, n_out)
-        args = (channel.matrix, p_star.weights, channel.apply(p_star).weights)
-        ref = sdpi._ratio_rows(grid_reference(depth, parts), *args)
-        for block_rows in (5, sdpi._BLOCK_ROWS):
-            monkeypatch.setattr(sdpi, "_BLOCK_ROWS", block_rows)
-            got = np.concatenate([sdpi._ratio_rows(b, *args) for b in sdpi._grid_blocks(depth, parts)])
-            assert got.tobytes() == ref.tobytes()
-            assert np.argmax(got) == np.argmax(ref)
-
-    @pytest.mark.parametrize("n_out", [2, 9])
-    @pytest.mark.parametrize("parts", [8, 9, 10])
-    def test_wide_rows_move_by_an_ulp(self, parts, n_out):
-        """From 8 inputs numpy sums a C-order row pairwise and a column-built one left to right.
-
-        The normalised grid entries then differ from the reference's by
-        at most one ulp.  The ratios differ by less than 1e-10 relative:
-        next to p* the input divergence loses digits to cancellation
-        (see ``kl_divergence_rows``), which magnifies that ulp.  The grid
-        winner is the same point.
-        """
-        depth = 6
-        p_star, channel = _random_channel(np.random.default_rng(parts + n_out), parts, n_out)
-        args = (channel.matrix, p_star.weights, channel.apply(p_star).weights)
-        ref = grid_reference(depth, parts)
-        grid = np.concatenate(list(sdpi._grid_blocks(depth, parts)))
-        assert np.all(np.abs(grid - ref) <= np.spacing(ref))
-        ref_ratios = sdpi._ratio_rows(ref, *args)
-        ratios = sdpi._ratio_rows(grid, *args)
-        finite = np.isfinite(ref_ratios)
-        assert np.array_equal(finite, np.isfinite(ratios))
-        assert np.all(np.abs(ratios - ref_ratios)[finite] <= 1e-10 * ref_ratios[finite])
-        assert np.argmax(ratios) == np.argmax(ref_ratios)
-
     def test_oversized_grid_raises_before_building(self, monkeypatch):
         p_star, channel = _random_channel(np.random.default_rng(3), 4)
-        points = math.comb(20 + 3, 3)
+        points = (81**2 - 79**2) * 21  # rank 3: 320 directions on the plane, 20 radii and a face each
         monkeypatch.setattr(sdpi, "_GRID_POINTS", points)
-        contraction_coefficient(p_star, channel, grid_depth=20, refine_tol=1e-6)
+        contraction_coefficient(p_star, channel, grid_depth=20)
 
         def unreached(*args):
             raise AssertionError("grid built")
 
         monkeypatch.setattr(sdpi, "_GRID_POINTS", points - 1)
-        monkeypatch.setattr(sdpi, "_grid_blocks", unreached)
+        monkeypatch.setattr(sdpi, "_directions", unreached)
         with pytest.raises(CapacityError, match=f"has {points} points, over the limit of {points - 1}"):
             contraction_coefficient(p_star, channel, grid_depth=20)
 
     def test_all_excluded_grid_raises(self):
-        # A single input: the one grid point is p* itself, excluded, so every ratio is -inf.
+        # A single input: the one pmf is p* itself, excluded, and rho^2 does not exist.
         with pytest.raises(ParameterError, match="no admissible grid point"):
             contraction_coefficient(Pmf(np.array([1.0])), Channel(np.array([[0.5], [0.5]])))
 
 
+class TestTiltSearch:
+    # perfbench's seed-5 near-p* channel, _screened(default_rng(5), 3, 2, True, 40):
+    # grid+refine at depth 100 gave 0.11058353283510719, below its own rho^2.
+    SEED5_MATRIX = [
+        [0.3941879012079973, 0.18213919216280056, 0.08324908028939831],
+        [0.6058120987920027, 0.8178608078371995, 0.9167509197106017],
+    ]
+    SEED5_P_STAR = [0.32320688863641994, 0.2389942944189792, 0.43779881694460093]
+
+    def test_seed5_channel_reaches_the_supremum(self):
+        mpmath = pytest.importorskip("mpmath")
+        matrix, p_star = np.array(self.SEED5_MATRIX), np.array(self.SEED5_P_STAR)
+        value, argmax = contraction_coefficient(Pmf(p_star), Channel(matrix), grid_depth=100)
+        assert value >= 0.1106151888
+        assert value >= chi2_coefficient(matrix, p_star)
+        with mpmath.workdps(50):
+            p = [mpmath.mpf(float(x)) for x in argmax.weights]
+            ref = [mpmath.mpf(float(x)) for x in p_star]
+            w = [[mpmath.mpf(float(x)) for x in row] for row in matrix]
+
+            def kl(a, b):
+                return mpmath.fsum(x * mpmath.log(x / y) for x, y in zip(a, b) if x > 0)
+
+            def out(v):
+                return [mpmath.fsum(r * x for r, x in zip(row, v)) for row in w]
+
+            exact = kl(out(p), out(ref)) / kl(p, ref)
+            assert abs(value - exact) <= 1e-9 * exact
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_against_polar_grid_and_bracket(self, seed):
+        rng = np.random.default_rng(5000 + seed)
+        n_in, n_out = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+        matrix = rng.dirichlet(np.ones(n_out), size=n_in).T
+        p_star = rng.dirichlet(np.full(n_in, 3.0))
+        value, _ = contraction_coefficient(Pmf(p_star), Channel(matrix), grid_depth=40)
+        oracle = polar_grid_reference(matrix, p_star, 3000 if n_in == 4 else 720, 120)
+        assert value >= oracle * (1 - 1e-12)
+        lo, hi = chi2_coefficient(matrix, p_star), dobrushin_coefficient(matrix)
+        assert lo * (1 - 1e-12) <= value <= hi * (1 + 1e-9)
+
+    def test_rank_deficient_channel(self):
+        """Two equal columns: the tilts move along one line, and never split those two inputs."""
+        matrix = np.array([[0.7, 0.2, 0.2], [0.1, 0.5, 0.5], [0.2, 0.3, 0.3]])
+        p_star = np.array([0.5, 0.2, 0.3])
+        assert np.linalg.matrix_rank(matrix) == 2
+        value, argmax = contraction_coefficient(Pmf(p_star), Channel(matrix), grid_depth=40)
+        p = argmax.weights
+        assert math.isclose(p[1] / p[2], p_star[1] / p_star[2], rel_tol=1e-12)
+        assert value >= polar_grid_reference(matrix, p_star, 720, 120) * (1 - 1e-12)
+        lo, hi = chi2_coefficient(matrix, p_star), dobrushin_coefficient(matrix)
+        assert lo * (1 - 1e-12) <= value <= hi * (1 + 1e-9)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    def test_direction_count_does_not_grow_with_rank(self, n, monkeypatch):
+        """At most 320 directions for any m >= 2, and never fewer than 2m, until 3^m - 1 > 320."""
+        counts = []
+
+        def counted(*args):
+            for us in directions(*args):
+                counts.append(len(us))
+                yield us
+
+        directions = sdpi._directions
+        monkeypatch.setattr(sdpi, "_directions", counted)
+        rng = np.random.default_rng(700 + n)
+        matrix = rng.dirichlet(np.ones(n), size=n).T
+        contraction_coefficient(Pmf(np.full(n, 1.0 / n)), Channel(matrix), grid_depth=20)
+        m = n - 1
+        assert 2 * m <= sum(counts) <= max(sdpi._DIRECTIONS, 3**m - 1)
+
+    @pytest.mark.parametrize("matrix", [np.tile([[0.4], [0.6]], (1, 3)), np.ones((1, 3))])
+    def test_chi_square_limit_wins_without_tilts(self, matrix):
+        """A constant channel has rank 1, no tilt and rho^2 = 0: the argmax is p* itself."""
+        p_star = np.array([0.2, 0.3, 0.5])
+        value, argmax = contraction_coefficient(Pmf(p_star), Channel(matrix), grid_depth=20)
+        assert abs(value) <= 1e-12
+        assert argmax.weights.tobytes() == p_star.tobytes()
+
+
 class TestBatchedRefine:
-    @staticmethod
-    def _climb(p_star, channel, evaluate_rows, seed):
-        args = (channel.matrix, p_star.weights, channel.apply(p_star).weights)
-        start = np.random.default_rng(seed).dirichlet(np.ones(len(p_star)))
-        value = float(sdpi._ratio_rows(np.stack([start, start]), *args)[0])
-        batched = sdpi._refine_simplex(start, value, *args, start_step=1 / 40, tol=1e-6)
-        reference = refine_sequential(
-            start, value, lambda c: float(evaluate_rows(c, args)[0]), start_step=1 / 40, tol=1e-6
-        )
-        return batched, reference
+    """The tilt refine evaluates its 2m moves from each point and step in one batch."""
 
-    @pytest.mark.parametrize("n_in", [2, 3])
-    def test_matches_one_point_climb(self, n_in):
-        """Bit for bit against one-row evaluations."""
-        rng = np.random.default_rng(100 + n_in)
-        for trial in range(5):
-            p_star, channel = _random_channel(rng, n_in)
-            (p, v), (p_ref, v_ref) = self._climb(
-                p_star, channel, lambda c, a: sdpi._ratio_rows(c.reshape(1, -1), *a), trial
-            )
-            assert v.hex() == v_ref.hex(), trial
-            assert p.tobytes() == p_ref.tobytes(), trial
-
-    def test_matches_one_point_climb_in_batch_arithmetic(self):
-        """Same climb on 4 inputs, each point evaluated as a row of a many-row product.
-
-        A one-row product takes BLAS's matrix-vector path; with 4 inputs
-        its last bits can differ from the many-row path's, so the
-        reference evaluates each point within a two-row product.
-        """
-        rng = np.random.default_rng(204)
-        for trial in range(5):
-            p_star, channel = _random_channel(rng, 4)
-            (p, v), (p_ref, v_ref) = self._climb(
-                p_star, channel, lambda c, a: sdpi._ratio_rows(np.stack([c, c]), *a), trial
-            )
-            assert v.hex() == v_ref.hex(), trial
-            assert p.tobytes() == p_ref.tobytes(), trial
-
-    # perfbench's near-p* channel (CLIFF_SEED = 8): the climb from its grid
-    # winner takes thousands of step-sized moves towards p*.
+    # perfbench's near-p* channel (CLIFF_SEED = 8): the simplex climb from its
+    # grid winner took thousands of step-sized moves towards p*.
     CLIFF_MATRIX = [
         [0.2710405416979102, 0.14149395982112772, 0.7276629015051393],
         [0.7289594583020899, 0.8585060401788723, 0.2723370984948606],
@@ -410,7 +394,8 @@ class TestBatchedRefine:
         batches = self._recorded_batches(monkeypatch)
         p_star, channel = Pmf(np.array(self.CLIFF_P_STAR)), Channel(np.array(self.CLIFF_MATRIX))
         contraction_coefficient(p_star, channel, grid_depth=100)
-        assert len(batches) == 3400  # one grid block, then 3399 refine batches
+        assert len(batches) < 200  # two ladder blocks, then the refine's 2-move batches
+        assert all(len(b) == 2 for b in batches[2:])
         assert self._repeats(batches) == 0
 
     @pytest.mark.parametrize("n_in", [2, 3, 4])
@@ -418,7 +403,7 @@ class TestBatchedRefine:
         batches = self._recorded_batches(monkeypatch)
         rng = np.random.default_rng(600 + n_in)
         for _ in range(4):
-            contraction_coefficient(*_random_channel(rng, n_in), grid_depth=20, refine_tol=1e-8)
+            contraction_coefficient(*_random_channel(rng, n_in), grid_depth=20)
         assert self._repeats(batches) == 0
 
 
@@ -444,7 +429,7 @@ class TestOccupationContraction:
     @pytest.mark.parametrize("depth", [2, 7, 60, 120, 200])
     @pytest.mark.parametrize("k", range(4, 13))
     def test_matches_simplex_search(self, k, depth):
-        """The w1 line alone, unrefined, gives the bits of the refined 3-simplex search."""
+        """The w1 line alone gives the bits of the generic search, which ends at the corner's face."""
         res = occupation_contraction(k, grid_depth=depth)
         sup, argpmf = contraction_coefficient(*occupation_channel(k), grid_depth=depth)
         p = argpmf.weights
@@ -453,7 +438,7 @@ class TestOccupationContraction:
         assert res.argmax == OverlapPoint(1.0, 1.0)
 
     def test_ties_keep_largest_w1(self, monkeypatch):
-        """Equal scores keep w1 = 1, as the simplex grid keeps its first point (0, 0, 1)."""
+        """Equal scores keep w1 = 1, the corner (0, 0, 1)."""
         monkeypatch.setattr(sdpi, "_ratio_rows", lambda ps, *args: np.ones(len(ps)))
         res = occupation_contraction(5, grid_depth=20)
         assert (res.argmax.w1, res.argmax.w2) == (1.0, 1.0)
