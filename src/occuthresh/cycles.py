@@ -3,8 +3,10 @@
 A 2l-cycle is a closed alternating variable/constraint walk with l
 distinct variables, l distinct constraints, and 2l distinct wiring
 edges; lengths are counted in the factor-graph sense.  The census
-enumerates directed rooted cycles (rooted at a variable, with a
-direction) and divides by 2l, asserting exact divisibility first.
+enumerates directed cycles rooted at their smallest variable, so each
+cycle is found once in each direction, and divides by 2, asserting
+exact divisibility first.  The walk grows as n*d*((k-1)(d-1))^(l-1);
+past ``_WALK_STEPS`` it raises CapacityError before any sampling.
 
 The enumeration is breadth-wise: a frontier of partial walks, one numpy
 row each, steps through one constraint and one variable at a time.
@@ -12,9 +14,10 @@ Frontiers are cut into pieces of a fixed number of rows, taken
 depth-first, so the frontier's peak memory depends on that cap and l_max
 but not on n.
 
-For l <= 2 a pair count evaluates the same quantities from equal keys
-in row-sorted blocks of configurations; it is property-tested against
-the walk enumeration.  The Monte Carlo driver samples and censuses
+For l <= 2 a wedge count evaluates the same quantities over blocks of
+configurations: a wedge is a pair of one variable's slots, named by the
+two constraints it is wired to.  It is property-tested against an
+independent walk enumeration.  The Monte Carlo driver samples and censuses
 blocks of seeds, several in parallel, and gathers them in sample order,
 so its output does not depend on the worker count, and its memory is set
 by the block size, not by the number of samples.
@@ -27,15 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation, ParameterError
-from .instances import (
-    Configuration,
-    Params,
-    _equal_pairs,
-    _sample_block,
-    _seed_blocks,
-    _two_cycle_counts,
-)
+from .errors import CapacityError, ContractViolation, ParameterError
+from .instances import Configuration, Params, _sample_block, _seed_blocks, _wedges
 from .numerics import log_factorials
 from .parallel import parallel_map
 
@@ -58,8 +54,31 @@ class CycleCensus:
 # so the frontier's peak memory is set by this cap and l_max, not by n.
 _FRONTIER_ROWS = 2048
 
+# Largest walk bound n*d*((k-1)(d-1))^(l_max-1) censused, the scale of
+# moments._EXACT_TERMS; l_max <= 7 at k = 4, d = 3, n = 400.
+_WALK_STEPS = 2 * 10**8
+
+
+def _check_walk_bound(params: Params, l_max: int):
+    """Raise CapacityError if the l_max walk is past ``_WALK_STEPS``."""
+    if l_max <= 2:
+        return
+    p = params
+    bound = p.n_slots * ((p.k - 1) * (p.d - 1)) ** (l_max - 1)
+    if bound > _WALK_STEPS:
+        raise CapacityError(
+            f"cycle walk to l_max={l_max} at n={p.n}, d={p.d}, k={p.k} may take {bound} steps, "
+            f"over the limit of {_WALK_STEPS}; lower l_max or n"
+        )
+
 
 def _census_walk(params: Params, wiring: np.ndarray, l_max: int) -> tuple:
+    """Cycle counts for l = 1 .. l_max of one wiring, by a breadth-wise walk.
+
+    Each walk starts at a slot of its root variable and goes on only to
+    variables above the root, so a cycle is found from its smallest
+    variable, once in each direction.
+    """
     p = params
     d, k = p.d, p.k
     to_con = wiring // k
@@ -85,9 +104,10 @@ def _census_walk(params: Params, wiring: np.ndarray, l_max: int) -> tuple:
         directed[depth] += int(np.count_nonzero(keep & (v == seen_vars[:, :1])))
         if depth == l_max:
             return
-        # Go on to unvisited variables, then into unvisited constraints
-        # through the variable's other slots.
-        for j in range(seen_vars.shape[1]):
+        # Go on to unvisited variables above the root, then into unvisited
+        # constraints through the variable's other slots.
+        keep &= v > seen_vars[:, :1]
+        for j in range(1, seen_vars.shape[1]):
             keep &= v != seen_vars[:, j : j + 1]
         rows, cols = np.nonzero(keep)
         s_out, v, cons = s_out[rows, cols], v[rows, cols], seen_cons[rows]
@@ -111,54 +131,66 @@ def _census_walk(params: Params, wiring: np.ndarray, l_max: int) -> tuple:
     slots = np.arange(p.n_slots)
     walk(1, (slots // d)[:, None], to_con[:, None], slots)
 
-    counts = []
-    for l in range(1, l_max + 1):
-        if directed[l] % (2 * l) != 0:
-            raise AssertionError(
-                f"directed {2 * l}-cycle count {directed[l]} not divisible by {2 * l}"
-            )
-        counts.append(directed[l] // (2 * l))
-    return tuple(counts)
+    odd = [l for l in range(1, l_max + 1) if directed[l] % 2]
+    if odd:
+        raise AssertionError(f"directed {2 * odd[0]}-cycle count {directed[odd[0]]} is odd")
+    return tuple(directed[l] // 2 for l in range(1, l_max + 1))
+
+
+def _equal_pairs(rows: np.ndarray) -> np.ndarray:
+    """Per row of a row-sorted block, the number of pairs of equal entries.
+
+    A run of c equal entries holds c - g pairs at distance g, and these
+    sum to c(c-1)/2 over g >= 1; no pair at distance g means no run
+    longer than g.
+    """
+    total = np.zeros(len(rows), dtype=np.int64)
+    for g in range(1, rows.shape[1]):
+        equal = rows[:, g:] == rows[:, :-g]
+        if not equal.any():
+            break
+        total += equal.sum(axis=1)
+    return total
 
 
 def _census_pairs(params: Params, wirings: np.ndarray, l_max: int) -> np.ndarray:
     """(rows, l_max) counts for l_max <= 2 of each row of a block of wirings.
 
-    l=1: pairs of parallel edges between one variable and one constraint.
-    l=2: pairs of member-pair entries {v1 < v2} of two constraints that
-    name the same two variables, i.e. the pairs of entries with equal
-    (v1, v2) less those with equal (v1, v2, constraint).
+    l=1: wedges whose two slots meet one constraint (a == b).
+    l=2: pairs of wedges of two variables that meet the same two
+    constraints {a, b} with a != b, i.e. the pairs of wedges with equal
+    {a, b} less those with equal ({a, b}, variable).
     """
     p = params
     rows = len(wirings)
+    wedges = p.n * (p.d * (p.d - 1) // 2)
+    # keys ({a, b}*n + v): a wedge with a == b gets a key of its own past
+    # m*m*n, so it pairs with none
+    dtype = np.int32 if (p.m * p.m + wedges) * p.n < 2**31 else np.int64
+    a, b = _wedges(p, wirings, dtype)
+    loop = a == b
     counts = np.empty((rows, l_max), dtype=np.int64)
-    counts[:, 0] = _two_cycle_counts(p, wirings)
+    counts[:, 0] = loop.sum(axis=(1, 2))
     if l_max >= 2:
-        inverse = np.empty_like(wirings)
-        inverse[np.arange(rows)[:, None], wirings] = np.arange(p.n_slots)
-        members = np.sort((inverse // p.d).reshape(rows, p.m, p.k), axis=2)
-        ii, jj = np.triu_indices(p.k, k=1)
-        v1, v2 = members[:, :, ii], members[:, :, jj]
-        entries = p.m * ii.size
-        # keys (v1*n + v2)*m + a, sorted by (v1, v2) and then a; an entry
-        # with v1 == v2 gets a key of its own past n*n*m, so it pairs with none
-        dtype = np.int32 if (p.n * p.n + entries) * p.m < 2**31 else np.int64
-        cons = np.arange(p.m, dtype=dtype)[:, None]
-        own = ((p.n * p.n + np.arange(entries, dtype=dtype)) * p.m).reshape(p.m, ii.size)
-        keys = np.where(v1 == v2, own, (v1 * p.n + v2).astype(dtype) * p.m + cons)
-        keys = np.sort(keys.reshape(rows, entries), axis=1)
-        counts[:, 1] = _equal_pairs(keys // p.m) - _equal_pairs(keys)
+        var = np.arange(p.n, dtype=dtype)[:, None]
+        own = ((p.m * p.m + np.arange(wedges, dtype=dtype)) * p.n).reshape(p.n, -1)
+        keys = np.where(loop, own, (np.minimum(a, b) * p.m + np.maximum(a, b)) * p.n + var)
+        keys = np.sort(keys.reshape(rows, wedges), axis=1)
+        counts[:, 1] = _equal_pairs(keys // p.n) - _equal_pairs(keys)
     return counts
 
 
 def count_cycles(cfg: Configuration, l_max: int) -> CycleCensus:
     """Census of 2l-cycles for l = 1 .. l_max.
 
-    A pair count for l_max <= 2, above that a breadth-wise enumeration
-    of directed rooted walks over a numpy frontier.
+    A wedge count for l_max <= 2, above that a breadth-wise enumeration
+    of directed walks, each rooted at its cycle's smallest variable, over
+    a numpy frontier.  Raises CapacityError if that walk's bound
+    n*d*((k-1)(d-1))^(l_max-1) is past ``_WALK_STEPS``.
     """
     if l_max < 1:
         raise ParameterError(f"need l_max >= 1, got {l_max}")
+    _check_walk_bound(cfg.params, l_max)
     if l_max <= 2:
         counts = _census_pairs(cfg.params, cfg.wiring[None, :], l_max)[0]
         return CycleCensus(tuple(counts.tolist()))
@@ -296,13 +328,15 @@ def census_samples(
 
     Sample ``i`` runs on ``child_seed(seed, i)``.  Samples are drawn and
     censused in blocks of consecutive indices, gathered in sample order,
-    so results do not depend on the worker count.
+    so results do not depend on the worker count.  A walk past
+    ``_WALK_STEPS`` raises CapacityError before any sampling.
     """
     if samples < 1:
         raise ParameterError(f"need samples >= 1, got {samples}")
     if l_max < 1:
         raise ParameterError(f"need l_max >= 1, got {l_max}")
     params = Params(n=n, d=d, k=k, r=1)  # no census reads r; 1 is valid for every k >= 2
+    _check_walk_bound(params, l_max)
     tasks = [(params, seed, block, l_max) for block in _seed_blocks(params, samples, threads)]
     blocks = parallel_map(_census_block, tasks, threads)
     return [CycleCensus(tuple(counts)) for block in blocks for counts in block]

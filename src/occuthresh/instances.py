@@ -206,7 +206,7 @@ class Configuration:
 
 # Cap on rows * n_slots * k for a block of configurations drawn at once.
 # The shuffle of a block holds about a dozen arrays of rows * n_slots
-# entries and its l <= 2 census about k/2 keys per slot, so a block's
+# entries and its l <= 2 census (d-1)/2 keys per slot, so a block's
 # memory stays bounded whatever the number of seeds.
 _BLOCK_ENTRIES = 1 << 16
 
@@ -239,28 +239,23 @@ def sample_configuration(params: Params, seed: int) -> Configuration:
     return Configuration(params, _permutations([seed & _M64], params.n_slots)[0])
 
 
-def _equal_pairs(rows: np.ndarray) -> np.ndarray:
-    """Per row of a row-sorted block, the number of pairs of equal entries.
+def _wedges(params: Params, wirings: np.ndarray, dtype) -> tuple:
+    """Constraints (a, b) of each variable's C(d, 2) slot pairs ("wedges").
 
-    A run of c equal entries holds c - g pairs at distance g, and these
-    sum to c(c-1)/2 over g >= 1; no pair at distance g means no run
-    longer than g.
+    Two (rows, n, C(d, 2)) arrays of ``dtype``: wedge j of variable v in
+    row i joins the slots of v that row i wires to constraints a[i, v, j]
+    and b[i, v, j].
     """
-    total = np.zeros(len(rows), dtype=np.int64)
-    for g in range(1, rows.shape[1]):
-        equal = rows[:, g:] == rows[:, :-g]
-        if not equal.any():
-            break
-        total += equal.sum(axis=1)
-    return total
+    p = params
+    con = (wirings // p.k).astype(dtype, copy=False).reshape(len(wirings), p.n, p.d)
+    ii, jj = np.triu_indices(p.d, k=1)
+    return con[:, :, ii], con[:, :, jj]
 
 
 def _two_cycle_counts(params: Params, wirings: np.ndarray) -> np.ndarray:
-    """Two-cycles of each row of a block: pairs of equal (variable, constraint) keys."""
-    p = params
-    var_of_slot = np.arange(p.n_slots, dtype=np.int64) // p.d
-    keys = var_of_slot * p.m + wirings // p.k
-    return _equal_pairs(np.sort(keys, axis=1))
+    """Two-cycles of each row of a block: wedges whose two slots meet one constraint."""
+    a, b = _wedges(params, wirings, np.int64)
+    return (a == b).sum(axis=(1, 2))
 
 
 def count_two_cycles(cfg: Configuration) -> int:

@@ -193,7 +193,9 @@ def census_walk_reference(cfg: Configuration, l_max: int) -> tuple:
     Every directed rooted walk (rooted at a variable, with a direction)
     that returns to its root through distinct variables, constraints and
     wiring edges is counted once per step, then each count is divided by
-    2l, which must divide it exactly.
+    2l, which must divide it exactly.  Rooting at every variable, not
+    only at a cycle's smallest as ``cycles._census_walk`` does, keeps this
+    count independent of that rule.
     """
     p = cfg.params
     d, k = p.d, p.k

@@ -104,6 +104,17 @@ class TestCycles:
                     "--seed", "3", "--l-max", "4", "--threads", "1"]) == 2
         assert "--samples >= 2" in capsys.readouterr().err
 
+    def test_walk_past_bound_exits_2_before_sampling(self, monkeypatch, capsys):
+        def unexpected(*args, **kwargs):
+            raise AssertionError("a configuration was sampled")
+
+        monkeypatch.setattr(instances, "_permutations", unexpected)
+        assert run(["cycles", "--k", "4", "--d", "3", "--n", "400", "--samples", "2",
+                    "--seed", "3", "--l-max", "10", "--threads", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cycle walk to l_max=10 at n=400, d=3, k=4")
+        assert "over the limit of 200000000" in err
+
     def test_two_variable_constraints_exit_0(self, tmp_path):
         """k = 2 is a valid family; the census takes no r, so nothing asks for r <= k - 1."""
         out = tmp_path / "k2.csv"

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from occuthresh import cycles, instances
-from occuthresh.errors import ContractViolation, ParameterError
+from occuthresh.errors import CapacityError, ContractViolation, ParameterError
 from occuthresh.instances import (
     Configuration,
     Params,
@@ -98,24 +98,49 @@ class TestCensus:
         with pytest.raises(ParameterError):
             count_cycles(identity_config(), 0)
 
+    def test_walk_bound_refused_before_walking(self, monkeypatch):
+        # n*d*((k-1)(d-1))^(l_max-1) at n = 400, d = 3, k = 4: 5.6e7 at l_max = 7, 3.4e8 at 8
+        p = Params(n=400, d=3, k=4, r=2)
+        assert p.n_slots * 6 ** 6 <= cycles._WALK_STEPS < p.n_slots * 6 ** 7
+        cfg = sample_configuration(p, child_seed(63, 0))
+
+        def unexpected(*args, **kwargs):
+            raise AssertionError("the walk ran")
+
+        monkeypatch.setattr(cycles, "_census_walk", unexpected)
+        for call in (lambda: count_cycles(cfg, 8),
+                     lambda: census_samples(k=4, d=3, n=400, samples=2, seed=63, l_max=8)):
+            with pytest.raises(CapacityError, match="l_max=8"):
+                call()
+
     def test_census_invariant_under_relabeling(self):
+        # l_max = 2 checks the wedge count, 3 and 4 the walk.
         p = Params(n=12, d=3, k=4, r=2)
         rng = np.random.default_rng(5)
-        for t in range(4):
-            cfg = sample_configuration(p, child_seed(33, t))
-            base = count_cycles(cfg, 3).counts
+        for l_max in (2, 3, 4):
+            for t in range(4):
+                cfg = sample_configuration(p, child_seed(33, t))
+                base = count_cycles(cfg, l_max).counts
 
-            con_perm = rng.permutation(p.m)
-            relabeled = np.empty_like(cfg.wiring)
-            for s, f in enumerate(cfg.wiring):
-                a, h = divmod(int(f), p.k)
-                relabeled[s] = con_perm[a] * p.k + h
-            assert count_cycles(Configuration(p, relabeled), 3).counts == base
+                con_perm = rng.permutation(p.m)
+                relabeled = np.empty_like(cfg.wiring)
+                for s, f in enumerate(cfg.wiring):
+                    a, h = divmod(int(f), p.k)
+                    relabeled[s] = con_perm[a] * p.k + h
+                assert count_cycles(Configuration(p, relabeled), l_max).counts == base
 
-            var = int(rng.integers(p.n))
-            swapped = cfg.wiring.copy()
-            swapped[[var * p.d, var * p.d + 1]] = swapped[[var * p.d + 1, var * p.d]]
-            assert count_cycles(Configuration(p, swapped), 3).counts == base
+                # a variable permutation moves the walk's smallest-variable roots
+                var_perm = rng.permutation(p.n)
+                renamed = np.empty_like(cfg.wiring)
+                for s, f in enumerate(cfg.wiring):
+                    v, e = divmod(s, p.d)
+                    renamed[var_perm[v] * p.d + e] = f
+                assert count_cycles(Configuration(p, renamed), l_max).counts == base
+
+                var = int(rng.integers(p.n))
+                swapped = cfg.wiring.copy()
+                swapped[[var * p.d, var * p.d + 1]] = swapped[[var * p.d + 1, var * p.d]]
+                assert count_cycles(Configuration(p, swapped), l_max).counts == base
 
     def test_mean_x2_matches_lambda(self, census_10k):
         x2 = np.array([c.count(2) for c in census_10k], dtype=float)
