@@ -5,8 +5,9 @@ distinct variables, l distinct constraints, and 2l distinct wiring
 edges; lengths are counted in the factor-graph sense.  The census
 enumerates directed cycles rooted at their smallest variable, so each
 cycle is found once in each direction, and divides by 2, asserting
-exact divisibility first.  The walk grows as n*d*((k-1)(d-1))^(l-1);
-past ``_WALK_STEPS`` it raises CapacityError before any sampling.
+exact divisibility first.  The walk grows as n*d*((k-1)(d-1))^(l-1)
+per sample; past ``_WALK_STEPS`` over all samples it raises
+CapacityError before any sampling.
 
 The enumeration is breadth-wise: a frontier of partial walks, one numpy
 row each, steps through one constraint and one variable at a time.
@@ -54,21 +55,22 @@ class CycleCensus:
 # so the frontier's peak memory is set by this cap and l_max, not by n.
 _FRONTIER_ROWS = 2048
 
-# Largest walk bound n*d*((k-1)(d-1))^(l_max-1) censused, the scale of
-# moments._EXACT_TERMS; l_max <= 7 at k = 4, d = 3, n = 400.
+# Largest walk bound n*d*((k-1)(d-1))^(l_max-1), summed over samples,
+# censused, the scale of moments._EXACT_TERMS; one sample at k = 4, d = 3,
+# n = 400 reaches l_max = 7.
 _WALK_STEPS = 2 * 10**8
 
 
-def _check_walk_bound(params: Params, l_max: int):
-    """Raise CapacityError if the l_max walk is past ``_WALK_STEPS``."""
+def _check_walk_bound(params: Params, l_max: int, samples: int = 1):
+    """Raise CapacityError if ``samples`` walks to l_max are past ``_WALK_STEPS`` together."""
     if l_max <= 2:
         return
     p = params
-    bound = p.n_slots * ((p.k - 1) * (p.d - 1)) ** (l_max - 1)
+    bound = samples * p.n_slots * ((p.k - 1) * (p.d - 1)) ** (l_max - 1)
     if bound > _WALK_STEPS:
         raise CapacityError(
-            f"cycle walk to l_max={l_max} at n={p.n}, d={p.d}, k={p.k} may take {bound} steps, "
-            f"over the limit of {_WALK_STEPS}; lower l_max or n"
+            f"cycle walk to l_max={l_max} at n={p.n}, d={p.d}, k={p.k} may take {bound} steps "
+            f"in {samples} sample(s), over the limit of {_WALK_STEPS}; lower l_max, n or samples"
         )
 
 
@@ -328,15 +330,16 @@ def census_samples(
 
     Sample ``i`` runs on ``child_seed(seed, i)``.  Samples are drawn and
     censused in blocks of consecutive indices, gathered in sample order,
-    so results do not depend on the worker count.  A walk past
-    ``_WALK_STEPS`` raises CapacityError before any sampling.
+    so results do not depend on the worker count.  Walks past
+    ``_WALK_STEPS`` over all samples together raise CapacityError
+    before any sampling.
     """
     if samples < 1:
         raise ParameterError(f"need samples >= 1, got {samples}")
     if l_max < 1:
         raise ParameterError(f"need l_max >= 1, got {l_max}")
     params = Params(n=n, d=d, k=k, r=1)  # no census reads r; 1 is valid for every k >= 2
-    _check_walk_bound(params, l_max)
+    _check_walk_bound(params, l_max, samples)
     tasks = [(params, seed, block, l_max) for block in _seed_blocks(params, samples, threads)]
     blocks = parallel_map(_census_block, tasks, threads)
     return [CycleCensus(tuple(counts)) for block in blocks for counts in block]

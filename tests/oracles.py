@@ -12,8 +12,9 @@ output and one rejection test at a time, and the cycle census's is a
 recursive walk, one Python call per visited variable.  The exact
 second moment's reference takes its vertex and edge factors (four
 scalar log-binomials each), its terms and its sums one overlap r1 at a
-time, and the exact joint moment E[Z X_l]'s reference takes one summand
-for each of the 2^l binary words on the l-cycle.  Redundant constraint pairs are tallied row by row in a Counter.
+time, and sums every term of the region.  The exact joint moment
+E[Z X_l]'s reference takes one summand for each of the 2^l binary
+words on the l-cycle.  Redundant constraint pairs are tallied row by row in a Counter.
 A contraction coefficient is bracketed by two closed forms that share
 no code with its search: the chi-square coefficient below and the
 Dobrushin coefficient above.
@@ -243,17 +244,16 @@ def census_walk_reference(cfg: Configuration, l_max: int) -> tuple:
     return tuple(directed[l] // (2 * l) for l in range(1, l_max + 1))
 
 
-def second_moment_ratio_reference(params: Params) -> float:
-    """ln(E[Z^2]/E[Z]^2) one overlap r1 at a time, its factors computed inside the loop.
+def overlap_rows_reference(params: Params) -> list[tuple[int, int, np.ndarray]]:
+    """Every term ln T(r1, r2) of the overlap region, one r1 at a time, as ``(r1, lo, terms)``.
 
-    Each r1 gets its own range of r2, its own terms and its own
-    log-sum-exp.  The elementwise expressions and each r1's pairwise
-    ``.sum()`` are those of ``second_moment_exact_ratio``, which builds
-    the terms of many r1 at once, so the result must be bit-identical.
+    Each r1 gets its own range r2 = lo .. floor(d*r1/2), its own vertex
+    and edge factors and its own terms; an empty fractional-quota region
+    gives no rows.
     """
     n1 = ones_quota(params)
     if n1 is None:
-        return float("-inf")
+        return []
     n, d, m = params.n, params.d, params.m
     lf = log_factorials(d * n)
 
@@ -261,7 +261,7 @@ def second_moment_ratio_reference(params: Params) -> float:
         return float(lf[a] - lf[b] - lf[a - b]) if 0 <= b <= a else float("-inf")
 
     log_pstar = np.log(input_pmf_star(params.k))
-    per_r1 = np.full(n1 + 1, -np.inf)
+    rows = []
     for r1 in range(n1 + 1):
         lo, hi = max(0, d * r1 - m), (d * r1) // 2
         if lo > hi:
@@ -272,10 +272,26 @@ def second_moment_ratio_reference(params: Params) -> float:
         t0, t1, t2 = m - d * r1 + r2, d * r1 - 2 * r2, r2
         log_pf = (lf[m] - lf[t0] - lf[t1] - lf[t2]
                   + t0 * log_pstar[0] + t1 * log_pstar[1] + t2 * log_pstar[2])
-        terms = log_pv + log_pf - log_pe
+        rows.append((r1, lo, log_pv + log_pf - log_pe))
+    return rows
+
+
+def second_moment_ratio_reference(params: Params) -> float:
+    """ln(E[Z^2]/E[Z]^2) summing every overlap term, one r1 at a time.
+
+    Each r1's terms from :func:`overlap_rows_reference` get their own
+    log-sum-exp, then the rows one more.  ``second_moment_exact_ratio``
+    leaves out the terms more than 64 nats below the largest and sums
+    the rest in other groups, so the two agree to a few ulps, not bit
+    for bit.
+    """
+    rows = overlap_rows_reference(params)
+    if not rows:
+        return float("-inf")
+    per_r1 = np.empty(len(rows))
+    for i, (_, _, terms) in enumerate(rows):
         peak = terms.max()
-        if peak > -np.inf:
-            per_r1[r1] = peak + np.log(np.exp(terms - peak).sum())
+        per_r1[i] = peak + np.log(np.exp(terms - peak).sum())
     peak = per_r1.max()
     return float(peak + np.log(np.exp(per_r1 - peak).sum()))
 

@@ -115,6 +115,18 @@ class TestCycles:
         assert err.startswith("error: cycle walk to l_max=10 at n=400, d=3, k=4")
         assert "over the limit of 200000000" in err
 
+    def test_walks_past_bound_over_all_samples_exit_2_before_sampling(self, monkeypatch, capsys):
+        # One l_max = 7 walk at n = 400 is 5.6e7 steps, in bound; 10000 would run for hours.
+        def unexpected(*args, **kwargs):
+            raise AssertionError("a configuration was sampled")
+
+        monkeypatch.setattr(instances, "_permutations", unexpected)
+        assert run(["cycles", "--k", "4", "--d", "3", "--n", "400", "--l-max", "7",
+                    "--samples", "10000", "--seed", "3", "--threads", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cycle walk to l_max=7 at n=400, d=3, k=4")
+        assert "in 10000 sample(s), over the limit of 200000000" in err
+
     def test_two_variable_constraints_exit_0(self, tmp_path):
         """k = 2 is a valid family; the census takes no r, so nothing asks for r <= k - 1."""
         out = tmp_path / "k2.csv"

@@ -113,6 +113,14 @@ class TestCensus:
             with pytest.raises(CapacityError, match="l_max=8"):
                 call()
 
+    def test_walk_bound_counts_every_sample(self):
+        # one l_max = 7 walk at n = 400, d = 3, k = 4 takes up to 5.6e7 steps: three fit, four do not
+        p = Params(n=400, d=3, k=4, r=1)
+        cycles._check_walk_bound(p, 7, 3)
+        with pytest.raises(CapacityError, match="may take 223948800 steps in 4 sample"):
+            cycles._check_walk_bound(p, 7, 4)
+        cycles._check_walk_bound(p, 2, 10**9)  # the wedge count takes no walk
+
     def test_census_invariant_under_relabeling(self):
         # l_max = 2 checks the wedge count, 3 and 4 the walk.
         p = Params(n=12, d=3, k=4, r=2)

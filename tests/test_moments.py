@@ -35,7 +35,11 @@ from occuthresh.numerics import kl_divergence_rows
 from occuthresh.occupancy import ones_quota
 from occuthresh.cycles import delta_l, lambda_l, mu_l
 
-from tests.oracles import joint_moment_reference, second_moment_ratio_reference
+from tests.oracles import (
+    joint_moment_reference,
+    overlap_rows_reference,
+    second_moment_ratio_reference,
+)
 
 
 class TestThreshold:
@@ -225,23 +229,56 @@ class TestSecondMoment:
         assert second_moment_exact_ratio(Params(n=3, d=4, k=4, r=2)).is_zero
 
     def test_matches_scalar_loop_reference(self, monkeypatch):
-        """Bit for bit against one r1 at a time, across every kind of chunk boundary.
+        """Bit for bit across every kind of chunk boundary, and within 1e-13 of the full sum.
 
         A limit of 1 puts each r1 in a chunk of its own, 7 groups short
         rows and leaves longer ones alone, 2^15 is the default.  The
-        table holds fractional quotas (k = 4, d = 4, n = 3; k = 8, d = 4,
-        n = 30) and n = 4000.
+        reference sums every term of the region; the exact sum leaves out
+        those 64 nats below the largest and groups the rest otherwise, so
+        the two agree to a few ulps (5.8e-15 relative at worst over k in
+        {4, 5, 6, 8, 12}, d in {2, 3, 4, 5, 7}, n <= 480).  The table
+        holds fractional quotas (k = 4, d = 4, n = 3; k = 8, d = 4,
+        n = 30), n = 4000, and families above d*(k), where E[Z] -> 0.
         """
         cases = [(k, d, n) for k in (4, 5, 6, 8) for d in (2, 3, 4, 6)
                  for n in (3, 4, 8, 12, 30, 60, 120, 400, 1000) if (d * n) % k == 0]
-        cases += [(4, 2, 4000), (4, 3, 4000), (6, 4, 2400)]
+        cases += [(4, 2, 4000), (4, 3, 4000), (6, 4, 2400), (5, 4, 2000), (8, 6, 1200), (12, 11, 1200)]
         params = [Params(n=n, d=d, k=k, r=2) for k, d, n in cases]
         assert sum(ones_quota(p) is None for p in params) >= 2
+        assert sum(p.d > threshold_dstar(p.k).d_star for p in params) >= 20
         expected = [second_moment_ratio_reference(p) for p in params]
-        for chunk in (1, 7, 1 << 15):
+        default = [second_moment_exact_ratio(p).value for p in params]
+        for p, value, ref in zip(params, default, expected):
+            assert math.isclose(value, ref, rel_tol=1e-13), p
+        for chunk in (1, 7):
             monkeypatch.setattr(moments, "_CHUNK_TERMS", chunk)
-            for p, value in zip(params, expected):
+            for p, value in zip(params, default):
                 assert second_moment_exact_ratio(p).value == value, (p, chunk)
+
+    @pytest.mark.parametrize("k, d, n", [(4, 2, 1000), (6, 3, 600)])
+    def test_left_out_terms_are_64_nats_down(self, k, d, n):
+        """In a full enumeration, every term outside the kept windows is under the peak less 64 nats."""
+        params = Params(n=n, d=d, k=k, r=2)
+        n1 = ones_quota(params)
+        rows, first, last = moments._overlap_windows(params, n1, moments._log_overlap_terms(params, n1))
+        windows = {r1: (a, b) for r1, a, b in zip(rows.tolist(), first.tolist(), last.tolist())}
+        region = overlap_rows_reference(params)
+        floor = max(terms.max() for _, _, terms in region) - 64.0
+        assert sum(b - a + 1 for a, b in windows.values()) < sum(terms.size for _, _, terms in region)
+        for r1, lo, terms in region:
+            a, b = windows.get(r1, (lo, lo - 1))
+            outside = np.concatenate([terms[:a - lo], terms[b + 1 - lo:]])
+            assert np.all(outside < floor), r1
+            # kept terms reach the floor, up to the ulps of their own evaluation
+            assert np.all(terms[a - lo:b + 1 - lo] >= floor - 1e-9), r1
+
+    def test_few_terms_kept_above_threshold(self):
+        """Above d*(4) the sum sits in a corner: at n = 4000 fewer than 1000 of 1.5M terms are kept."""
+        params = Params(n=4000, d=3, k=4, r=2)
+        n1 = ones_quota(params)
+        _, first, last = moments._overlap_windows(params, n1, moments._log_overlap_terms(params, n1))
+        assert _overlap_terms(n1, params.d, params.m) > 10**6
+        assert (last - first + 1).sum() < 1000
 
     def test_no_r1_row_is_empty(self):
         """Every r1 <= n1 = 2m/d has d*r1 - m <= d*r1/2, so the chunked sum never meets an empty row."""
@@ -262,7 +299,7 @@ class TestSecondMoment:
                     assert _overlap_terms(n1, d, m) == region, (k, d, n)
 
     def test_term_limit_refused_before_summing(self):
-        # 2500100001 terms: the sum would run for minutes
+        # 2500100001 terms, past the count that the 64-nat cut's error bound covers
         with pytest.raises(CapacityError, match="sums 2500100001 overlap terms"):
             second_moment_exact_ratio(Params(n=200000, d=2, k=4, r=2))
 
@@ -349,6 +386,45 @@ class TestJointMoment:
                 succ = ((y >> 1) | ((y & 1) << (l - 1))) if l > 1 else y
                 tally[bin(y).count("1"), bin(y & succ).count("1")] += 1
             assert {(r1, r2): c for r1, r2, c in _word_classes(l)} == tally
+
+
+class TestSmallSubgraphConditioning:
+    """Janson's hypotheses as limits of exact sums, with no sampling.
+
+    Below d*, E[Z X_l]/E[Z] -> lambda_l (1 + delta_l) and
+    ln(E[Z^2]/E[Z]^2) -> sum_l lambda_l delta_l^2 = ln sqrt((k-1)/(k-d)).
+    Each error runs e(n) = a/n + b/n^2 + O(1/n^3).  Over n = 240 * 4^j,
+    j = 0..3, the O(1/n^2) term moves n*e(n) by -3b/(4n) per step, and the
+    Richardson limit (4 e(4n) - e(n))/3 cancels a/n and leaves -b/(4n^2).
+    The coefficient b is read off the first step, and the later steps
+    and limits must follow it: each within 20%, where the next order
+    moves them by up to 10% here.
+    """
+
+    NS = tuple(240 * 4**j for j in range(4))
+
+    @pytest.mark.parametrize("k, d", [(4, 2), (6, 3), (8, 3)])
+    def test_errors_fall_as_one_over_n(self, k, d):
+        errors = {"ratio": [], "l=1": [], "l=2": []}
+        for n in self.NS:
+            params = Params(n=n, d=d, k=k, r=2)
+            errors["ratio"].append(
+                second_moment_exact_ratio(params).value - 0.5 * math.log((k - 1) / (k - d)))
+            ln_ez = first_moment_exact(params).value
+            for l in (1, 2):
+                excess = joint_moment_exact(params, l).value - ln_ez - math.log(mu_l(l, k, d))
+                errors[f"l={l}"].append(math.expm1(excess))
+        for name, e in errors.items():
+            steps = np.diff([n * x for n, x in zip(self.NS, e)])
+            b = -4 * self.NS[0] * steps[0] / 3
+            assert b != 0, name
+            for j in (1, 2):
+                # n*e(n) settles, each step a quarter of the one before ...
+                predicted = -3 * b / (4 * self.NS[j])
+                assert abs(steps[j] - predicted) <= 0.2 * abs(predicted), (name, j, steps)
+                # ... towards a limit of 0: what is left after a/n is b/n^2
+                richardson = (4 * e[j + 1] - e[j]) / 3
+                assert abs(richardson) <= 1.2 * abs(b) / (4 * self.NS[j] ** 2), (name, j, richardson)
 
 
 class TestVarianceExplained:
