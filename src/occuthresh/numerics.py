@@ -102,7 +102,7 @@ class Channel:
 
 def log_factorials(n: int) -> np.ndarray:
     """Table of ln(i!) for i = 0..n; entry i is ``lgamma(i + 1)``."""
-    return np.array([math.lgamma(i + 1) for i in range(n + 1)])
+    return np.fromiter(map(math.lgamma, range(1, n + 2)), float, n + 1)
 
 
 def log_falling(a: int, b: int) -> float:

@@ -99,7 +99,11 @@ def _shell(m: int, reach: int) -> int:
 
 
 def _ratio_rows(ps: np.ndarray, matrix: np.ndarray, p_star: np.ndarray, q_star: np.ndarray):
-    numer = kl_divergence_rows(ps @ matrix.T, q_star)
+    # Every step works row by row, so a row's ratio does not depend on the
+    # other rows of a batch of two or more (one row would take BLAS's
+    # matrix-vector product); with ``ps`` in Fortran order the row sums run
+    # over columns.
+    numer = kl_divergence_rows((matrix @ ps.T).T, q_star)
     denom = kl_divergence_rows(ps, p_star)
     tv = 0.5 * np.abs(ps - p_star).sum(axis=1)
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -109,8 +113,10 @@ def _ratio_rows(ps: np.ndarray, matrix: np.ndarray, p_star: np.ndarray, q_star: 
 
 
 def _tilted(lams: np.ndarray, basis: np.ndarray, log_p: np.ndarray) -> np.ndarray:
-    # p_lambda = softmax(ln p* + B lambda), one row per row of ``lams``
-    logits = log_p + lams @ basis.T
+    # p_lambda = softmax(ln p* + B lambda), one row per row of ``lams``, in
+    # Fortran order: a reduction over a short row is numpy's slow path
+    logits = (basis @ lams.T).T
+    logits += log_p
     logits -= logits.max(axis=1, keepdims=True)
     ps = np.exp(logits)
     return ps / ps.sum(axis=1, keepdims=True)
@@ -136,20 +142,26 @@ def _directions(m: int, reach: int, rows: int):
 
 
 def _refine(lam, p, value, step, basis, log_p, args):
-    # Pattern search: the 2m moves +-step e_i in one batch, the first best
-    # strict improvement taken; the step grows by 1.5 after a success and
-    # halves after a failure.
+    # Pattern search: the 2m moves +-step e_i, the first best strict
+    # improvement taken; the step grows by 1.5 after a success and halves
+    # after a failure.  A failure leaves lambda where it is, so one batch
+    # holds the moves at step, step/2, ... down to _STEP_TOL, and the first
+    # level with an improvement is the one the one-step search would reach.
     moves = np.concatenate([np.eye(lam.size), -np.eye(lam.size)])
     while step >= _STEP_TOL:
-        lams = lam + step * moves
+        steps = [step]
+        while steps[-1] * 0.5 >= _STEP_TOL:
+            steps.append(steps[-1] * 0.5)
+        lams = (lam + np.multiply.outer(steps, moves)).reshape(-1, lam.size)
         ps = _tilted(lams, basis, log_p)
-        ratios = _ratio_rows(ps, *args)
-        i = int(np.argmax(ratios))
-        if ratios[i] > value:
-            lam, p, value = lams[i], ps[i], float(ratios[i])
-            step *= 1.5
-        else:
-            step *= 0.5
+        ratios = _ratio_rows(ps, *args).reshape(len(steps), -1)
+        better = np.flatnonzero(ratios.max(axis=1) > value)
+        if not better.size:
+            break
+        level = int(better[0])
+        i = level * len(moves) + int(np.argmax(ratios[level]))
+        lam, p, value = lams[i], ps[i], float(ratios.flat[i])
+        step = steps[level] * 1.5
     return p, value
 
 
@@ -170,11 +182,14 @@ def contraction_coefficient(
     comes the face limit, p* restricted to the inputs where B lambda is
     largest.  Points within 1e-9 total variation of p* are excluded, and ties keep
     the first point scored.  When the best point is a finite lambda, a
-    pattern search refines it.  The result is the larger of that value
-    and rho^2; when rho^2 is larger, the argmax is p* itself.  Points
-    are scored in blocks of at most 2^15; a grid of more than
-    ``_GRID_POINTS`` points raises :class:`CapacityError` before any of
-    it is built.  The reference pmf must have full support and at least
+    pattern search refines it; each of its batches holds the moves at the
+    current step and at the halvings below it.  Blocks are held in
+    Fortran order, so every per-point sum runs over columns and a point's
+    ratio does not depend on the rest of its block.  The result is the
+    larger of the best value and rho^2; when rho^2 is larger, the argmax
+    is p* itself.  Points are scored in blocks of at most 2^15; a grid of
+    more than ``_GRID_POINTS`` points raises :class:`CapacityError` before
+    any of it is built.  The reference pmf must have full support and at least
     two inputs, and a NaN or +inf ratio raises.
     """
     if grid_depth < 2:
@@ -214,18 +229,17 @@ def contraction_coefficient(
         faces = np.where(vs >= top - 1e-12 * spread, p, 0.0)  # ties at the top within rounding
         faces /= faces.sum(axis=1, keepdims=True)
         radii = _RADII[0] * (_RADII[1] / (_RADII[0] * spread)) ** rungs
+        radii = np.pad(radii, ((0, 0), (0, 1)))  # radius 0 in each direction's face slot
         lams = (us[:, None, :] * radii[:, :, None]).reshape(-1, m)
-        ps = np.concatenate(
-            [_tilted(lams, basis, log_p).reshape(len(us), ladder, -1), faces[:, None, :]], axis=1
-        ).reshape(-1, len(p))
+        ps = _tilted(lams, basis, log_p)
+        ps[ladder :: ladder + 1] = faces
         ratios = _ratio_rows(ps, *args)
         i = int(np.argmax(ratios))
         if not ratios[i] < np.inf:
             raise ParameterError(f"non-finite ratio {float(ratios[i])!r} at a grid point")
         if ratios[i] > best:
             best, argbest = float(ratios[i]), ps[i].copy()
-            d, r = divmod(i, ladder + 1)
-            start = lams[d * ladder + r].copy() if r < ladder else None
+            start = lams[i].copy() if i % (ladder + 1) < ladder else None
     if start is not None:
         step = float(np.linalg.norm(start)) / reach
         argbest, best = _refine(start, argbest, best, step, basis, log_p, args)

@@ -17,7 +17,9 @@ E[Z X_l]'s reference takes one summand for each of the 2^l binary
 words on the l-cycle.  Redundant constraint pairs are tallied row by row in a Counter.
 A contraction coefficient is bracketed by two closed forms that share
 no code with its search: the chi-square coefficient below and the
-Dobrushin coefficient above.
+Dobrushin coefficient above.  The tilt refine's reference scores one
+step per batch, halving after each failure, where the search batches
+every halving that follows a failure.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from occuthresh import sdpi
 from occuthresh.instances import Configuration, Params
 from occuthresh.moments import input_pmf_star
 from occuthresh.numerics import log_factorials
@@ -155,6 +158,29 @@ def dobrushin_coefficient(matrix: np.ndarray) -> float:
         0.5 * float(np.abs(matrix[:, i] - matrix[:, j]).sum())
         for i, j in itertools.combinations(range(matrix.shape[1]), 2)
     )
+
+
+def pattern_search_reference(lam, p, value, step, basis, log_p, args):
+    """The tilt refine one step per batch: ``sdpi._refine``'s moves, accept rule and steps.
+
+    Scores the 2m moves +-step e_i from lambda, takes the first best
+    strict improvement and grows the step by 1.5, or halves the step
+    when no move improves, until it falls below ``sdpi._STEP_TOL``.
+    The points are scored by the search's own ``_tilted`` and
+    ``_ratio_rows``; what differs is only the batching.
+    """
+    moves = np.concatenate([np.eye(lam.size), -np.eye(lam.size)])
+    while step >= sdpi._STEP_TOL:
+        lams = lam + step * moves
+        ps = sdpi._tilted(lams, basis, log_p)
+        ratios = sdpi._ratio_rows(ps, *args)
+        i = int(np.argmax(ratios))
+        if ratios[i] > value:
+            lam, p, value = lams[i], ps[i], float(ratios[i])
+            step *= 1.5
+        else:
+            step *= 0.5
+    return p, value
 
 
 def fisher_yates_reference(seed: int, n: int, outputs) -> np.ndarray:

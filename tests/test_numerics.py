@@ -47,6 +47,12 @@ class TestLogFactorial:
             oracle = math.log(math.factorial(n)) if n else 0.0
             assert math.isclose(table[n], oracle, rel_tol=1e-15, abs_tol=1e-15)
 
+    def test_entries_are_lgamma_bits(self):
+        """Entry i is exactly ``math.lgamma(i + 1)``, which the second-moment oracle shares."""
+        table = log_factorials(12000)
+        assert table.shape == (12001,) and table.dtype == np.float64
+        assert table.tobytes() == np.array([math.lgamma(i + 1) for i in range(12001)]).tobytes()
+
     def test_eight(self):
         lf8 = log_factorials(8)[8]
         assert math.isclose(lf8, math.log(40320), rel_tol=1e-14)

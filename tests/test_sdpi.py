@@ -40,7 +40,12 @@ from occuthresh.sdpi import (
     occupation_contraction,
     parse_channel,
 )
-from tests.oracles import chi2_coefficient, dobrushin_coefficient, polar_grid_reference
+from tests.oracles import (
+    chi2_coefficient,
+    dobrushin_coefficient,
+    pattern_search_reference,
+    polar_grid_reference,
+)
 
 # exp/log overflow in the tilt search must fail, not warn, under any pytest configuration
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -363,7 +368,8 @@ class TestTiltSearch:
 
 
 class TestBatchedRefine:
-    """The tilt refine evaluates its 2m moves from each point and step in one batch."""
+    """The tilt refine scores, in one batch, its 2m moves at every step from the
+    current one down to ``_STEP_TOL``: the halvings that would follow a failure."""
 
     # perfbench's near-p* channel (CLIFF_SEED = 8): the simplex climb from its
     # grid winner took thousands of step-sized moves towards p*.
@@ -394,9 +400,63 @@ class TestBatchedRefine:
         batches = self._recorded_batches(monkeypatch)
         p_star, channel = Pmf(np.array(self.CLIFF_P_STAR)), Channel(np.array(self.CLIFF_MATRIX))
         contraction_coefficient(p_star, channel, grid_depth=100)
-        assert len(batches) < 200  # two ladder blocks, then the refine's 2-move batches
-        assert all(len(b) == 2 for b in batches[2:])
+        moves = 2  # two outputs: rank 2, so m = 1 and the moves are +-step
+        assert len(batches) < 20  # two ladder blocks, then the refine's batches
+        assert all(len(b) > 0 and len(b) % moves == 0 for b in batches[2:])
         assert self._repeats(batches) == 0
+
+    def test_matches_one_step_reference(self, monkeypatch):
+        """From the same start, the batched refine returns the one-step search's bits."""
+        refine, calls = sdpi._refine, []
+
+        def recording(*args):
+            calls.append((args, refine(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(sdpi, "_refine", recording)
+        seed5 = (TestTiltSearch.SEED5_P_STAR, TestTiltSearch.SEED5_MATRIX)
+        for p_star, matrix in [(self.CLIFF_P_STAR, self.CLIFF_MATRIX), seed5]:
+            contraction_coefficient(Pmf(np.array(p_star)), Channel(np.array(matrix)), grid_depth=100)
+        rng = np.random.default_rng(808)
+        for trial in range(32):
+            p_star, channel = _random_channel(rng, 2 + trial % 4, 2 + trial % 3)
+            contraction_coefficient(p_star, channel, grid_depth=30)
+        assert len(calls) >= 32
+        for trial, (args, (p, value)) in enumerate(calls):
+            want_p, want_value = pattern_search_reference(*args)
+            assert value.hex() == want_value.hex(), trial
+            assert p.tobytes() == want_p.tobytes(), trial
+
+    @pytest.mark.parametrize("n_in", range(2, 11))
+    def test_ratio_rows_do_not_depend_on_batch_or_layout(self, n_in):
+        """A row's ratio is the same scored in a large batch, in a small one, C or F order.
+
+        Both the blocks and the refine's levels lean on this.  The small
+        batch is the row twice, the fewest rows the search scores: one row
+        would take BLAS's matrix-vector product, whose bits differ.  From 8
+        inputs numpy sums a C-order row pairwise and an F-order block column
+        by column, so there the bits may differ, by at most 4e-15 relative:
+        each divergence is a sum of at most ten nonnegative terms.
+        """
+        rng = np.random.default_rng(900 + n_in)
+        for trial in range(5):
+            p_star, channel = _random_channel(rng, n_in, int(rng.integers(2, 6)))
+            p, matrix = p_star.weights, channel.matrix
+            args = (matrix, p, matrix @ p)
+            basis = np.linalg.qr(rng.normal(size=(n_in, n_in - 1)))[0]
+            lams = rng.normal(size=(40, n_in - 1)) * np.geomspace(1e-3, 10.0, 40)[:, None]
+            ps = np.concatenate([sdpi._tilted(lams, basis, np.log(p)), rng.dirichlet(np.ones(n_in), 20)])
+            block = sdpi._ratio_rows(np.asfortranarray(ps), *args)
+            for got in (
+                sdpi._ratio_rows(np.ascontiguousarray(ps), *args),
+                [sdpi._ratio_rows(ps[[i, i]], *args)[0] for i in range(len(ps))],
+                [sdpi._ratio_rows(np.asfortranarray(ps[[i, i]]), *args)[0] for i in range(len(ps))],
+            ):
+                got = np.asarray(got)
+                if n_in < 8:
+                    assert got.tobytes() == block.tobytes(), trial
+                else:
+                    assert np.all(np.abs(got - block) <= 4e-15 * block), trial
 
     @pytest.mark.parametrize("n_in", [2, 3, 4])
     def test_no_batch_is_evaluated_twice_in_a_row(self, monkeypatch, n_in):
