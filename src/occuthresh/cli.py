@@ -40,7 +40,7 @@ from .moments import (
     second_moment_exact_ratio,
     threshold_dstar,
 )
-from .occupancy import count_solutions, estimate_sat_probability
+from .occupancy import ENUMERATION_CAP, count_solutions, estimate_sat_probability
 from .parallel import thread_count
 from .cycles import census_samples, mu_l, poisson_gof
 from .sdpi import (
@@ -78,7 +78,7 @@ _FLAGS = {
     "--l": dict(type=int, default=1),
     "--r": dict(type=int, default=2),
     "--exact": dict(action="store_true", help="include exact finite-n values"),
-    "--cap": dict(type=int, default=32),
+    "--cap": dict(type=int, default=ENUMERATION_CAP),
     "--threads": dict(type=int),
     "--channel": dict(required=True, help="channel/pmf document path"),
     "--grid-depth": dict(type=int, default=200),

@@ -182,6 +182,13 @@ def _census_pairs(params: Params, wirings: np.ndarray, l_max: int) -> np.ndarray
     return counts
 
 
+def _census_rows(params: Params, wirings: np.ndarray, l_max: int) -> list:
+    """Counts for l = 1 .. l_max of each row of a block of wirings: wedges or the walk."""
+    if l_max <= 2:
+        return _census_pairs(params, wirings, l_max).tolist()
+    return [_census_walk(params, w, l_max) for w in wirings]
+
+
 def count_cycles(cfg: Configuration, l_max: int) -> CycleCensus:
     """Census of 2l-cycles for l = 1 .. l_max.
 
@@ -193,10 +200,7 @@ def count_cycles(cfg: Configuration, l_max: int) -> CycleCensus:
     if l_max < 1:
         raise ParameterError(f"need l_max >= 1, got {l_max}")
     _check_walk_bound(cfg.params, l_max)
-    if l_max <= 2:
-        counts = _census_pairs(cfg.params, cfg.wiring[None, :], l_max)[0]
-        return CycleCensus(tuple(counts.tolist()))
-    return CycleCensus(_census_walk(cfg.params, cfg.wiring, l_max))
+    return CycleCensus(tuple(_census_rows(cfg.params, cfg.wiring[None, :], l_max)[0]))
 
 
 def lambda_l(l: int, k: int, d: int) -> float:
@@ -311,10 +315,7 @@ def pair_correlation(samples, l_a: int, l_b: int) -> float:
 
 def _census_block(args) -> list:
     params, seed, block, l_max = args
-    wirings = _sample_block(params, seed, block)
-    if l_max <= 2:
-        return _census_pairs(params, wirings, l_max).tolist()
-    return [_census_walk(params, w, l_max) for w in wirings]
+    return _census_rows(params, _sample_block(params, seed, block), l_max)
 
 
 def census_samples(

@@ -34,11 +34,12 @@ def thread_count(requested: int | None = None) -> int:
 def parallel_map(fn, items: list, threads: int) -> list:
     """Map ``fn`` over ``items`` preserving order; serial when threads <= 1.
 
-    ``fn`` must be a module-level function (it is pickled to worker
-    processes).
+    Starts at most one worker per item.  ``fn`` must be a module-level
+    function (it is pickled to worker processes).
     """
     items = list(items)
-    if threads <= 1 or len(items) <= 1:
+    threads = min(threads, len(items))
+    if threads <= 1:
         return [fn(item) for item in items]
     chunk = max(1, len(items) // (threads * 8))
     with multiprocessing.Pool(processes=threads) as pool:

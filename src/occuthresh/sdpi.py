@@ -13,14 +13,10 @@ p* along the singular vectors at p*.
 
 The occupation channel maps the shared-ones count of a constraint to
 its output count; its columns are ``moments.output_count_pmf`` at
-w1 = 0, 1/2 and 1.  The output depends on the overlap only through w1,
-so the supremum is a search over w1 alone: at each w1 the candidate is
-the overlap point of least input divergence, whose w2 (the fraction
-p11 of constraints sharing both ones, as in ``OverlapPoint``) is
-``minimizing_w2`` in closed form for every k.  Each candidate has the
-largest ratio at its w1, so no simplex move from it can do better than
-the candidate at the w1 it lands on, and the search needs no refine.
-The conjectured supremum sits at the degenerate corner w1 = 1.
+w1 = 0, 1/2 and 1.  That pmf is linear in w1, so the channel has rank 2
+and its tilts run along one line, which ``occupation_contraction``
+searches with the same engine.  The conjectured supremum sits at the
+degenerate corner w1 = 1, one of that line's two face limits.
 
 The k = 4 functions certify, at grid resolution, that the conjectured
 corner value really is the supremum.  All bound curves are closed
@@ -86,7 +82,7 @@ def divergence_ratio(w: OverlapPoint, k: int) -> float:
     return output_kl(w, k) / denom
 
 
-_BLOCK_POINTS = 1 << 15  # tilt points scored per block, to bound memory
+_BLOCK_POINTS = 1 << 14  # tilt points scored per block, to bound memory
 _GRID_POINTS = 2 * 10**8  # largest tilt grid scored, the scale of moments._EXACT_TERMS
 _RADII = (1e-3, 20.0)  # first radius of each ladder, and its last times the spread of B u
 _STEP_TOL = 1e-9  # the refine stops once its step falls below this
@@ -123,22 +119,25 @@ def _tilted(lams: np.ndarray, basis: np.ndarray, log_p: np.ndarray) -> np.ndarra
 
 
 def _directions(m: int, reach: int, rows: int):
-    """Yield v / |v| for the integer v with max |v_i| = ``reach``, at most ``rows`` per block.
+    """Yield v / |v| for the integer v with max |v_i| = ``reach``, at most max(rows, 2) per block.
 
     The points whose first coordinate of size ``reach`` is v_a come
     together: v_i lies strictly inside (-reach, reach) for i < a and
     anywhere in [-reach, reach] for i > a, so each point comes once.
+    Each v with v_a = reach is followed by -v, so a rank-2 channel's two
+    directions share one block, and the order does not depend on ``rows``.
     """
+    half = max(rows // 2, 1)
     for a in range(m):
         sides = [2 * reach - 1] * a + [2 * reach + 1] * (m - 1 - a)
         count = math.prod(sides)
-        for sign in (reach, -reach):
-            for start in range(0, count, rows):
-                index = np.arange(start, min(start + rows, count))
-                digits = np.unravel_index(index, sides) if sides else ()
-                rest = [d - s // 2 for d, s in zip(digits, sides)]
-                v = np.column_stack(rest[:a] + [np.full(index.size, sign)] + rest[a:])
-                yield v / np.linalg.norm(v, axis=1, keepdims=True)
+        for start in range(0, count, half):
+            index = np.arange(start, min(start + half, count))
+            digits = np.unravel_index(index, sides) if sides else ()
+            rest = [d - s // 2 for d, s in zip(digits, sides)]
+            v = np.column_stack(rest[:a] + [np.full(index.size, reach)] + rest[a:])
+            v = np.stack([v, -v], axis=1).reshape(-1, m)
+            yield v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
 def _refine(lam, p, value, step, basis, log_p, args):
@@ -180,14 +179,16 @@ def contraction_coefficient(
     until there.  Along each, ``grid_depth`` (at most 2^15 - 1)
     geometric radii run from 1e-3 until B lambda spreads over 20, then
     comes the face limit, p* restricted to the inputs where B lambda is
-    largest.  Points within 1e-9 total variation of p* are excluded, and ties keep
-    the first point scored.  When the best point is a finite lambda, a
+    largest.  Each direction v is scored next to -v.  Points within 1e-9
+    total variation of p* are excluded, and ties keep the first point
+    scored.  When the best point is a finite lambda, a
     pattern search refines it; each of its batches holds the moves at the
     current step and at the halvings below it.  Blocks are held in
     Fortran order, so every per-point sum runs over columns and a point's
     ratio does not depend on the rest of its block.  The result is the
     larger of the best value and rho^2; when rho^2 is larger, the argmax
-    is p* itself.  Points are scored in blocks of at most 2^15; a grid of
+    is p* itself.  Points are scored in blocks of at most 2^14, or of one
+    direction and its negation when their ladders hold more; a grid of
     more than ``_GRID_POINTS`` points raises :class:`CapacityError` before
     any of it is built.  The reference pmf must have full support and at least
     two inputs, and a NaN or +inf ratio raises.
@@ -211,7 +212,7 @@ def contraction_coefficient(
     _, sv, vt = np.linalg.svd(matrix[keep] * root_p / root_q[:, None] - np.outer(root_q, root_p))
     m = int(np.count_nonzero(sv > max(matrix.shape) * np.finfo(float).eps))
     basis = vt[:m].T / root_p[:, None]
-    reach, ladder = 1, min(grid_depth, _BLOCK_POINTS - 1)
+    reach, ladder = 1, min(grid_depth, 2**15 - 1)
     while m > 1 and _shell(m, reach + 1) <= _DIRECTIONS:
         reach += 1
     points = _shell(m, reach) * (ladder + 1)
@@ -260,25 +261,13 @@ class OccupationContraction:
 def occupation_contraction(k: int, grid_depth: int = 200) -> OccupationContraction:
     """Supremum of the divergence ratio over the overlap region.
 
-    The output pmf depends on the overlap only through w1, so at fixed
-    w1 the ratio is largest where the input divergence is smallest.  The
-    search scores that minimizing pmf at w1 = i / grid_depth, from w1 = 1
-    down, and keeps the first best (ties keep the larger w1, as the
-    simplex grid keeps (0, 0, 1)).  Every candidate already carries the
-    largest ratio at its w1, so there is nothing for a refine to find.
-    The overlap point is recovered from the winning pmf via
+    ``contraction_coefficient`` on ``occupation_channel(k)``, so
+    ``grid_depth`` counts the radii along each of the two tilt
+    directions.  The overlap point is recovered from the winning pmf via
     w = (p1/2 + p2, p2).
     """
-    if grid_depth < 2:
-        raise ParameterError(f"need grid_depth >= 2, got {grid_depth}")
-    p_star, channel = occupation_channel(k)
-    w1 = np.arange(grid_depth, -1, -1) / grid_depth
-    p11, p00 = _minimizing_cells(k, w1)
-    rows = np.column_stack([p00, 2.0 * (w1 - p11), p11])
-    rows /= rows.sum(axis=1, keepdims=True)
-    ratios = _ratio_rows(rows, channel.matrix, p_star.weights, channel.apply(p_star).weights)
-    i = int(np.argmax(ratios))
-    p, sup = rows[i], float(ratios[i])
+    sup, argmax = contraction_coefficient(*occupation_channel(k), grid_depth)
+    p = argmax.weights
     arg = OverlapPoint(float(p[1] / 2.0 + p[2]), float(p[2]))
     conjectured = conjectured_contraction(k)
     if sup < conjectured - 1e-9:

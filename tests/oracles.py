@@ -19,7 +19,10 @@ A contraction coefficient is bracketed by two closed forms that share
 no code with its search: the chi-square coefficient below and the
 Dobrushin coefficient above.  The tilt refine's reference scores one
 step per batch, halving after each failure, where the search batches
-every halving that follows a failure.
+every halving that follows a failure.  The occupation channel's
+supremum is checked against a line over w1 alone, which scores at each
+w1 the overlap point of least input divergence in closed form and
+knows nothing of tilts.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import numpy as np
 
 from occuthresh import sdpi
 from occuthresh.instances import Configuration, Params
-from occuthresh.moments import input_pmf_star
+from occuthresh.moments import OverlapPoint, input_pmf_star
 from occuthresh.numerics import log_factorials
 from occuthresh.occupancy import ones_quota
 
@@ -181,6 +184,26 @@ def pattern_search_reference(lam, p, value, step, basis, log_p, args):
         else:
             step *= 0.5
     return p, value
+
+
+def occupation_line_reference(k: int, depth: int) -> tuple[float, OverlapPoint]:
+    """Supremum of the occupation channel's ratio over the line of w1 alone, and its overlap.
+
+    The output depends on the overlap only through w1, so at fixed w1 the
+    ratio is largest at the overlap point of least input divergence,
+    whose cells are ``sdpi._minimizing_cells``.  Scores that point at
+    w1 = i / depth, from w1 = 1 down, with the search's ``_ratio_rows``;
+    ties keep the larger w1.
+    """
+    p_star, channel = sdpi.occupation_channel(k)
+    w1 = np.arange(depth, -1, -1) / depth
+    p11, p00 = sdpi._minimizing_cells(k, w1)
+    rows = np.column_stack([p00, 2.0 * (w1 - p11), p11])
+    rows /= rows.sum(axis=1, keepdims=True)
+    ratios = sdpi._ratio_rows(rows, channel.matrix, p_star.weights, channel.apply(p_star).weights)
+    i = int(np.argmax(ratios))
+    p = rows[i]
+    return float(ratios[i]), OverlapPoint(float(p[1] / 2.0 + p[2]), float(p[2]))
 
 
 def fisher_yates_reference(seed: int, n: int, outputs) -> np.ndarray:

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from occuthresh import cycles, instances
+from occuthresh import cycles, instances, parallel
 from occuthresh.errors import CapacityError, ContractViolation, ParameterError
 from occuthresh.instances import (
     Configuration,
@@ -237,6 +237,29 @@ class TestCensusSampling:
             else:
                 want = cycles._census_walk(cfg.params, cfg.wiring, l_max)
             assert census.counts == want, i
+
+    def test_no_more_workers_than_blocks(self, monkeypatch):
+        """Two blocks at eight threads start two workers (a stub pool that starts none)."""
+        started = []
+
+        class StubPool:
+            def __init__(self, processes):
+                started.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize):
+                return [fn(item) for item in items]
+
+        want = census_samples(k=4, d=3, n=400, samples=2, seed=1, threads=1)
+        monkeypatch.setattr(parallel.multiprocessing, "Pool", StubPool)
+        got = census_samples(k=4, d=3, n=400, samples=2, seed=1, threads=8)
+        assert started == [2]
+        assert [c.counts for c in got] == [c.counts for c in want]
 
     def test_sample_count_validated(self):
         with pytest.raises(ParameterError):

@@ -4,9 +4,13 @@ A name counts as reached when it appears, as a whole word, in another
 package module, a demo, the acceptance tests or the README.  The line
 that defines it (``def name`` or ``class name``) does not count, so a
 wrapper that only the export list mentions fails here.
+
+Every layer function that the benchmark's tracer wraps exists, read
+from its ``TARGETS`` list without running the tracer.
 """
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -47,3 +51,34 @@ def test_definition_line_alone_does_not_count():
     text = "def lonely(x):\n    return x\n\nclass Used:\n    pass\n\nUsed()\n"
     assert unreached(["lonely", "Used"], text) == ["lonely"]
     assert unreached(["lonely_rows"], "lonely(1)\n") == ["lonely_rows"]
+
+
+def tracer_targets(source: str) -> list[tuple[str, str]]:
+    """The (module, function) pairs of a ``TARGETS = [...]`` assignment, parsed, not executed."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TARGETS"]:
+            return [tuple(pair) for pair in ast.literal_eval(node.value)]
+    raise AssertionError("no TARGETS list")
+
+
+def missing_targets(targets) -> list[str]:
+    out = []
+    for module, name in targets:
+        try:
+            found = hasattr(importlib.import_module(f"occuthresh.{module}"), name)
+        except ModuleNotFoundError:
+            found = False
+        if not found:
+            out.append(f"occuthresh.{module}.{name}")
+    return out
+
+
+def test_every_tracer_target_exists():
+    targets = tracer_targets((ROOT / "perfbench" / "tracing.py").read_text())
+    assert ("sdpi", "occupation_contraction") in targets
+    assert missing_targets(targets) == []
+
+
+def test_renamed_tracer_target_is_missing():
+    targets = tracer_targets('TARGETS = [("sdpi", "contraction_coefficient"), ("sdpi", "gone"), ("nowhere", "x")]\n')
+    assert missing_targets(targets) == ["occuthresh.sdpi.gone", "occuthresh.nowhere.x"]

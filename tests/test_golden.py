@@ -13,6 +13,8 @@ it at the 1e-11 level, and it is compared within ``LN_RATIO_ABS_TOL``.
 The ``sdpi`` section was re-recorded when the simplex grid and its climb
 gave way to the search over exponential tilts: ``d_star`` moved by
 3.5e-16 relative and the argmax entries by at most 2.3e-8.
+The ``conjecture`` sections were recorded with the line over w1 alone
+that ``conjecture`` searched before it moved to the same tilt search.
 """
 
 from datetime import datetime
@@ -110,6 +112,29 @@ CONJECTURE_K5 = [
     "argmax_w1 = 1.0",
     "argmax_w2 = 1.0",
 ]
+
+# Recorded with the line over w1 alone that preceded the tilt search.  At k = 4
+# the corners w1 = 1 and w1 = 0 differ by 2 ulp (0x1.8c23246dc0aa0p-2 against
+# 0x1.8c23246dc0a9ep-2), so an ulp less at w1 = 1 would leave the winner to the
+# order the search scores them in, which follows the sign of an SVD vector.
+CONJECTURE_CORNERS = {
+    "4": [
+        "k = 4",
+        "conjectured = 0.3868528072345416",
+        "sup = 0.38685280723454163",
+        "gap = 5.551115123125783e-17",
+        "argmax_w1 = 1.0",
+        "argmax_w2 = 1.0",
+    ],
+    "12": [
+        "k = 12",
+        "conjectured = 0.10754136954215472",
+        "sup = 0.10754136954215471",
+        "gap = -1.3877787807814457e-17",
+        "argmax_w1 = 1.0",
+        "argmax_w2 = 1.0",
+    ],
+}
 
 VERIFY_K4 = [
     "w_bar = 0.10831008652376109",
@@ -234,6 +259,11 @@ def test_sdpi_data_section(tmp_path):
 
 def test_conjecture_data_section(tmp_path):
     assert run_data(tmp_path, ["conjecture", "--k", "5"]) == CONJECTURE_K5
+
+
+@pytest.mark.parametrize("k", sorted(CONJECTURE_CORNERS))
+def test_conjecture_corner_data_section(tmp_path, k):
+    assert run_data(tmp_path, ["conjecture", "--k", k]) == CONJECTURE_CORNERS[k]
 
 
 def test_verify_k4_data_section(tmp_path):

@@ -1,5 +1,6 @@
 """Contraction coefficients, the occupation channel, and the k=4 certificate."""
 
+import itertools
 import math
 
 import numpy as np
@@ -43,6 +44,7 @@ from occuthresh.sdpi import (
 from tests.oracles import (
     chi2_coefficient,
     dobrushin_coefficient,
+    occupation_line_reference,
     pattern_search_reference,
     polar_grid_reference,
 )
@@ -249,6 +251,24 @@ class TestStreamedGrid:
             assert got.hex() == value.hex()
             assert got_arg.weights.tobytes() == argmax.weights.tobytes()
 
+    @pytest.mark.parametrize("rows", [1, 2, 3, 163, 2**15])
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_directions_pair_each_point_with_its_negation(self, m, rows):
+        """Every shell point once, next to its negation in the same block, in an order set by m alone."""
+        reach = 1
+        while m > 1 and sdpi._shell(m, reach + 1) <= sdpi._DIRECTIONS:
+            reach += 1
+        blocks = list(sdpi._directions(m, reach, rows))
+        assert all(0 < len(b) <= max(rows, 2) and len(b) % 2 == 0 for b in blocks)
+        assert all(np.array_equal(b[1::2], -b[0::2]) for b in blocks)
+        us = np.concatenate(blocks)
+        assert us.tobytes() == np.concatenate(list(sdpi._directions(m, reach, 2**15))).tobytes()
+        vs = np.rint(us / np.abs(us).max(axis=1, keepdims=True) * reach).astype(int)
+        shell = {v for v in itertools.product(range(-reach, reach + 1), repeat=m) if max(map(abs, v)) == reach}
+        assert len(vs) == len(shell) == sdpi._shell(m, reach)
+        assert set(map(tuple, vs.tolist())) == shell
+        np.testing.assert_allclose(us, vs / np.linalg.norm(vs, axis=1, keepdims=True), rtol=0, atol=1e-15)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_winner_in_a_later_block_raises(self, monkeypatch, bad):
         monkeypatch.setattr(sdpi, "_BLOCK_POINTS", 22)  # two directions of 11 points per block
@@ -401,8 +421,9 @@ class TestBatchedRefine:
         p_star, channel = Pmf(np.array(self.CLIFF_P_STAR)), Channel(np.array(self.CLIFF_MATRIX))
         contraction_coefficient(p_star, channel, grid_depth=100)
         moves = 2  # two outputs: rank 2, so m = 1 and the moves are +-step
-        assert len(batches) < 20  # two ladder blocks, then the refine's batches
-        assert all(len(b) > 0 and len(b) % moves == 0 for b in batches[2:])
+        assert len(batches) < 20  # one ladder block for both directions, then the refine's batches
+        assert len(batches[0]) == 2 * 101
+        assert all(len(b) > 0 and len(b) % moves == 0 for b in batches[1:])
         assert self._repeats(batches) == 0
 
     def test_matches_one_step_reference(self, monkeypatch):
@@ -486,22 +507,31 @@ class TestOccupationContraction:
             assert res.sup >= res.conjectured - 1e-9
             assert res.sup >= 1.0 / (k - 1)  # the chi-square coefficient bounds eta_KL below
 
-    @pytest.mark.parametrize("depth", [2, 7, 60, 120, 200])
-    @pytest.mark.parametrize("k", range(4, 13))
+    @pytest.mark.parametrize(
+        "k,depth",
+        [(k, depth) for k in range(4, 13) for depth in (2, 7, 60, 120, 200)]
+        + [(k, depth) for k in (41, 257, 1000) for depth in (200, 40000)],
+    )
     def test_matches_simplex_search(self, k, depth):
-        """The w1 line alone gives the bits of the generic search, which ends at the corner's face."""
+        """The tilt search gives the bits of the line over w1 alone: both end at the corner."""
         res = occupation_contraction(k, grid_depth=depth)
-        sup, argpmf = contraction_coefficient(*occupation_channel(k), grid_depth=depth)
-        p = argpmf.weights
+        sup, arg = occupation_line_reference(k, depth)
         assert res.sup.hex() == sup.hex()
-        assert res.argmax == OverlapPoint(float(p[1] / 2.0 + p[2]), float(p[2]))
-        assert res.argmax == OverlapPoint(1.0, 1.0)
+        assert res.argmax == arg == OverlapPoint(1.0, 1.0)
 
-    def test_ties_keep_largest_w1(self, monkeypatch):
-        """Equal scores keep w1 = 1, the corner (0, 0, 1)."""
-        monkeypatch.setattr(sdpi, "_ratio_rows", lambda ps, *args: np.ones(len(ps)))
+    def test_ties_keep_first_point_scored(self, monkeypatch):
+        """Equal scores keep the search's first point, the first radius along the first direction."""
+        scored = []
+
+        def flat(ps, *args):
+            scored.append(ps.copy())
+            return np.ones(len(ps))
+
+        monkeypatch.setattr(sdpi, "_ratio_rows", flat)
         res = occupation_contraction(5, grid_depth=20)
-        assert (res.argmax.w1, res.argmax.w2) == (1.0, 1.0)
+        p = scored[0][0]
+        assert res.argmax == OverlapPoint(float(p[1] / 2.0 + p[2]), float(p[2]))
+        assert res.argmax.w1 < 1.0
 
     @pytest.mark.parametrize("depth", [1, 0, -3])
     def test_search_parameters_validated(self, depth):
