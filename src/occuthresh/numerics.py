@@ -1,10 +1,12 @@
 """Shared numeric primitives.
 
 Log-space combinatorics, divergences, and the deterministic bisection
-root finder used throughout the package.  Everything here is pure and
-stateless; all factorial-scale quantities live on the natural-log scale
-because linear-scale values overflow immediately at the sizes we care
-about.
+root finder used throughout the package.  Everything here is pure, with
+one exception: the process keeps a single read-only table of ln(i!),
+extended on demand and never beyond ``_LOG_FACTORIALS_KEPT`` entries
+(2 MB), so repeated calls do not recompute it.  All factorial-scale
+quantities live on the natural-log scale because linear-scale values
+overflow immediately at the sizes we care about.
 
 Conventions: ``0 * ln 0 = 0`` everywhere, and the KL divergence returns
 ``+inf`` (never raises) when the support condition fails.
@@ -100,9 +102,26 @@ class Channel:
         return Pmf(self.matrix @ p.weights)
 
 
+_LOG_FACTORIALS_KEPT = 1 << 18  # most ln(i!) entries the process keeps between calls
+_log_factorials = np.zeros(0)  # ln(i!) for i below its size; read-only, replaced to grow
+
+
 def log_factorials(n: int) -> np.ndarray:
-    """Table of ln(i!) for i = 0..n; entry i is ``lgamma(i + 1)``."""
-    return np.fromiter(map(math.lgamma, range(1, n + 2)), float, n + 1)
+    """Read-only table of ln(i!) for i = 0..n; entry i is ``lgamma(i + 1)``.
+
+    Served from the process's shared table, which computes only the
+    entries it lacks.  A table longer than ``_LOG_FACTORIALS_KEPT`` is
+    built from the shared prefix and is not kept.
+    """
+    global _log_factorials
+    table = _log_factorials
+    if n >= table.size:
+        missing = np.fromiter(map(math.lgamma, range(table.size + 1, n + 2)), float, n + 1 - table.size)
+        table = np.concatenate((table, missing))
+        table.flags.writeable = False
+        if table.size <= _LOG_FACTORIALS_KEPT:
+            _log_factorials = table
+    return table[: n + 1]
 
 
 def log_falling(a: int, b: int) -> float:
@@ -147,14 +166,20 @@ def kl_divergence_rows(ps: np.ndarray, p_star: np.ndarray) -> np.ndarray:
         raise ContractViolation("ps must be (n_points, n_outcomes) matching p_star")
     with np.errstate(divide="ignore", invalid="ignore"):
         d = ps - q
-        terms = ps * np.log1p(d / q) - d
-    lost = terms == -np.inf  # p so far below q that d / q rounds to -1
-    if lost.any():
-        p_lost, q_lost = ps[lost], np.broadcast_to(q, ps.shape)[lost]
-        terms[lost] = p_lost * (np.log(p_lost) - np.log(q_lost)) - (p_lost - q_lost)
-    terms = np.where(ps == 0.0, q, terms)
-    zero_q = (q == 0.0) & (ps > 0.0)
-    terms = np.where(zero_q, np.inf, terms)
+        terms = d / q
+        np.log1p(terms, out=terms)
+        terms *= ps
+        terms -= d
+    # Every entry the fix-ups below rewrite is non-finite: p = 0 gives NaN,
+    # a lost p gives -inf and q = 0 < p gives +inf.
+    if not np.isfinite(terms).all():
+        lost = terms == -np.inf  # p so far below q that d / q rounds to -1
+        if lost.any():
+            p_lost, q_lost = ps[lost], np.broadcast_to(q, ps.shape)[lost]
+            terms[lost] = p_lost * (np.log(p_lost) - np.log(q_lost)) - (p_lost - q_lost)
+        terms = np.where(ps == 0.0, q, terms)
+        zero_q = (q == 0.0) & (ps > 0.0)
+        terms = np.where(zero_q, np.inf, terms)
     return terms.sum(axis=1)
 
 

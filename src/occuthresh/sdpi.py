@@ -230,7 +230,7 @@ def contraction_coefficient(
         faces = np.where(vs >= top - 1e-12 * spread, p, 0.0)  # ties at the top within rounding
         faces /= faces.sum(axis=1, keepdims=True)
         radii = _RADII[0] * (_RADII[1] / (_RADII[0] * spread)) ** rungs
-        radii = np.pad(radii, ((0, 0), (0, 1)))  # radius 0 in each direction's face slot
+        radii = np.concatenate((radii, np.zeros((len(us), 1))), axis=1)  # radius 0: the face slot
         lams = (us[:, None, :] * radii[:, :, None]).reshape(-1, m)
         ps = _tilted(lams, basis, log_p)
         ps[ladder :: ladder + 1] = faces

@@ -23,6 +23,9 @@ every halving that follows a failure.  The occupation channel's
 supremum is checked against a line over w1 alone, which scores at each
 w1 the overlap point of least input divergence in closed form and
 knows nothing of tilts.
+The row-wise KL kernel's reference is its earlier form, frozen: every
+fix-up (lost terms, zero entries, zero reference entries) runs on every
+call, where the kernel runs them only when a term is not finite.
 """
 
 from __future__ import annotations
@@ -39,6 +42,23 @@ from occuthresh.instances import Configuration, Params
 from occuthresh.moments import OverlapPoint, input_pmf_star
 from occuthresh.numerics import log_factorials
 from occuthresh.occupancy import ones_quota
+
+
+def kl_divergence_rows_reference(ps: np.ndarray, p_star: np.ndarray) -> np.ndarray:
+    """Row-wise KL(ps[i] || p_star), with every fix-up scanned for on every call."""
+    ps = np.asarray(ps, dtype=float)
+    q = np.asarray(p_star, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = ps - q
+        terms = ps * np.log1p(d / q) - d
+    lost = terms == -np.inf  # p so far below q that d / q rounds to -1
+    if lost.any():
+        p_lost, q_lost = ps[lost], np.broadcast_to(q, ps.shape)[lost]
+        terms[lost] = p_lost * (np.log(p_lost) - np.log(q_lost)) - (p_lost - q_lost)
+    terms = np.where(ps == 0.0, q, terms)
+    zero_q = (q == 0.0) & (ps > 0.0)
+    terms = np.where(zero_q, np.inf, terms)
+    return terms.sum(axis=1)
 
 
 def count_solutions_bruteforce(cfg: Configuration) -> int:

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from occuthresh import moments
+from occuthresh import cli, moments, numerics
 from occuthresh.errors import CapacityError, ParameterError
 from occuthresh.instances import Params
 from occuthresh.moments import (
@@ -224,6 +224,31 @@ class TestSecondMoment:
         lo, hi = max(0, d * n1 - m), (d * n1) // 2
         assert lo == hi == m
         assert (n1 / n1, m / m) == (1.0, 1.0)
+
+    def test_exact_cli_output_does_not_depend_on_call_history(self, monkeypatch, tmp_path):
+        """The shared ln(i!) table gives the same data sections grown upward or served from its top.
+
+        The (k, d, n) are the benchmark's exact-moment calls; each order
+        starts from an empty table.
+        """
+        kdn = [(4, d, n) for d in (2, 3) for n in (24, 1000, 2000, 4000)]
+        kdn += [(6, d, n) for d in (3, 4) for n in (600, 1200, 2400)]
+
+        def data_sections(order):
+            monkeypatch.setattr(numerics, "_log_factorials", np.zeros(0))
+            sections = {}
+            for k, d, n in order:
+                out = tmp_path / f"moments_{k}_{d}_{n}.txt"
+                argv = ["moments", "--k", str(k), "--d", str(d), "--n", str(n), "--exact", "--out", str(out)]
+                assert cli.main(argv) == 0
+                lines = out.read_text().splitlines()
+                sections[k, d, n] = [line for line in lines if not line.startswith("#")]
+            return sections
+
+        by_dn = sorted(kdn, key=lambda t: (t[1] * t[2], t))
+        upward = data_sections(by_dn)
+        downward = data_sections(by_dn[::-1])
+        assert len(upward) == 14 and upward == downward
 
     def test_fractional_quota_flag(self):
         assert second_moment_exact_ratio(Params(n=3, d=4, k=4, r=2)).is_zero

@@ -2,10 +2,13 @@
 
 import itertools
 import math
+import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from occuthresh import numerics
 from occuthresh.errors import BracketError, ContractViolation, ParameterError
 from occuthresh.numerics import (
     Channel,
@@ -18,6 +21,8 @@ from occuthresh.numerics import (
     log_factorials,
     log_falling,
 )
+
+from tests.oracles import kl_divergence_rows_reference
 
 
 def kl_one_row(p, q) -> float:
@@ -47,11 +52,39 @@ class TestLogFactorial:
             oracle = math.log(math.factorial(n)) if n else 0.0
             assert math.isclose(table[n], oracle, rel_tol=1e-15, abs_tol=1e-15)
 
-    def test_entries_are_lgamma_bits(self):
-        """Entry i is exactly ``math.lgamma(i + 1)``, which the second-moment oracle shares."""
-        table = log_factorials(12000)
-        assert table.shape == (12001,) and table.dtype == np.float64
-        assert table.tobytes() == np.array([math.lgamma(i + 1) for i in range(12001)]).tobytes()
+    def test_entries_are_lgamma_bits(self, monkeypatch):
+        """Entry i is exactly ``math.lgamma(i + 1)``, which the second-moment oracle shares.
+
+        The shared table is grown in a mixed order, and every answer holds
+        the bits of one fresh build.
+        """
+        monkeypatch.setattr(numerics, "_log_factorials", np.zeros(0))
+        fresh = np.array([math.lgamma(i + 1) for i in range(13001)])
+        for n in (20, 12000, 5, 13000):
+            table = log_factorials(n)
+            assert table.shape == (n + 1,) and table.dtype == np.float64
+            assert table.tobytes() == fresh[: n + 1].tobytes()
+        assert numerics._log_factorials.tobytes() == fresh.tobytes()
+
+    def test_returned_table_is_read_only(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_log_factorials", np.zeros(0))
+        for n in (10, 4):  # the call that grows the table, and one served from it
+            table = log_factorials(n)
+            with pytest.raises(ValueError):
+                table[0] = 1.0
+        assert numerics._log_factorials[0] == 0.0
+
+    def test_request_above_retention_bound_is_not_kept(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_log_factorials", np.zeros(0))
+        kept = numerics._LOG_FACTORIALS_KEPT
+        log_factorials(kept - 1)  # the longest table that is kept
+        assert numerics._log_factorials.size == kept
+        n = kept + 100
+        table = log_factorials(n)
+        assert numerics._log_factorials.size == kept
+        assert table.tobytes() == np.fromiter((math.lgamma(i + 1) for i in range(n + 1)), float).tobytes()
+        with pytest.raises(ValueError):
+            table[0] = 1.0
 
     def test_eight(self):
         lf8 = log_factorials(8)[8]
@@ -211,6 +244,63 @@ class TestKlDivergence:
                     for pi, qi in zip(p.tolist(), q.tolist())
                 )
                 assert abs(kl_one_row(p, q) - exact) <= 1e-11 * exact
+
+
+def _adversarial_kl_batch(rng) -> tuple[np.ndarray, np.ndarray]:
+    """A batch of rows against a reference pmf, salted with every case the kernel fixes up.
+
+    Rows carry zero entries (face rows), entries so far below the
+    reference that ``(p - q) / q`` rounds to -1 (the lost case, subnormal
+    p among them), and copies of the reference; the reference may carry
+    zero and subnormal entries.  Half the batches are in Fortran order.
+    """
+    n, m = int(rng.integers(1, 9)), int(rng.integers(2, 13))  # m >= 8 sums pairwise in C order
+    q = rng.dirichlet(np.ones(m))
+    for j in np.flatnonzero(rng.random(m) < 0.15):
+        q[j] = rng.choice([0.0, 5e-324, 1e-310])
+    ps = rng.dirichlet(np.ones(m), size=n)
+    ps[rng.random(n) < 0.2] = q
+    near = rng.random(n) < 0.2
+    ps[near] = q + 1e-6 * rng.normal(size=(int(near.sum()), m))
+    salt = rng.random((n, m))
+    ps[salt < 0.1] = 0.0
+    tiny = (salt >= 0.1) & (salt < 0.15)
+    ps[tiny] = rng.choice([5e-324, 1e-310, 1e-300, 1e-17], size=int(tiny.sum()))
+    if rng.random() < 0.5:
+        ps = np.asfortranarray(ps)
+    return ps, q
+
+
+class TestKlKernelAgainstReference:
+    def test_bitwise_equal_to_frozen_reference(self):
+        """The kernel's sums and warnings match the reference's bit for bit on adversarial batches.
+
+        A normal p against a subnormal q overflows ``(p - q) / q`` in both,
+        so their overflow warnings are compared, not forbidden.
+        """
+        rng = np.random.default_rng(2206)
+        cases = Counter()
+        for _ in range(2500):
+            ps, q = _adversarial_kl_batch(rng)
+            with warnings.catch_warnings(record=True) as want_warned:
+                warnings.simplefilter("always")
+                want = kl_divergence_rows_reference(ps, q)
+            with warnings.catch_warnings(record=True) as got_warned:
+                warnings.simplefilter("always")
+                got = kl_divergence_rows(ps, q)
+            assert got.tobytes() == want.tobytes(), (ps, q)
+            assert [str(w.message) for w in got_warned] == [str(w.message) for w in want_warned]
+            assert all("overflow" in str(w.message) for w in got_warned)
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                ratio = (ps - q) / q
+                cases["no fix-up"] += bool(np.isfinite(ps * np.log1p(ratio) - (ps - q)).all())
+            cases["lost"] += bool(((ps > 0.0) & (ratio == -1.0)).any())
+            cases["zero p"] += bool((ps == 0.0).any())
+            cases["zero q"] += bool((q == 0.0).any())
+            cases["subnormal q"] += bool(((q > 0.0) & (q < np.finfo(float).tiny)).any())
+            cases["row equals q"] += bool((ps == q).all(axis=1).any())
+            cases["fortran"] += bool(ps.flags.f_contiguous and not ps.flags.c_contiguous)
+        assert min(cases.values()) >= 100, cases
 
 
 class TestPmfChannelTypes:
