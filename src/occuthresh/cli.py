@@ -25,13 +25,13 @@ import argparse
 import functools
 import math
 import sys
-from dataclasses import astuple
+from dataclasses import asdict, astuple
 from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
 from .errors import CertificateError, OccuthreshError, ParameterError
-from .instances import Params, deserialize, sample_configuration, sample_simple, serialize
+from .instances import Params, deserialize, format_fields, sample_configuration, sample_simple, serialize
 from .moments import (
     first_moment_asymptotic,
     first_moment_exact,
@@ -165,15 +165,7 @@ def _csv(header: str, rows) -> list[str]:
 
 
 def _run_threshold(args) -> list[str]:
-    rep = threshold_dstar(args.k)
-    return [
-        f"k = {rep.k}",
-        f"w1_star = {rep.w1_star!r}",
-        f"w2_star = {rep.w2_star!r}",
-        f"d_star = {rep.d_star!r}",
-        f"is_integer = {str(rep.is_integer).lower()}",
-        f"bounds_ok = {str(rep.bounds_ok).lower()}",
-    ]
+    return format_fields(asdict(threshold_dstar(args.k)).items())
 
 
 def _run_satprob(args) -> list[str]:
@@ -221,25 +213,24 @@ def _run_moments(args) -> list[str]:
         ln_ezxl = joint_moment_exact(params, args.l).value
     else:
         ln_ez = ln_ratio = ln_ezxl = float("nan")
-    return [
-        f"k = {args.k}",
-        f"d = {args.d}",
-        f"n = {args.n}",
-        f"ln_EZ_exact = {ln_ez!r}",
-        f"ln_EZ_asymptotic = {ln_ez_asym!r}",
-        f"ln_ratio_exact = {ln_ratio!r}",
-        f"ln_ratio_asymptotic = {ln_ratio_asym!r}",
-        f"l = {args.l}",
-        f"ln_EZXl = {ln_ezxl!r}",
-        f"mu_l = {mu_l(args.l, args.k, args.d)!r}",
-    ]
+    return format_fields([
+        ("k", args.k),
+        ("d", args.d),
+        ("n", args.n),
+        ("ln_EZ_exact", ln_ez),
+        ("ln_EZ_asymptotic", ln_ez_asym),
+        ("ln_ratio_exact", ln_ratio),
+        ("ln_ratio_asymptotic", ln_ratio_asym),
+        ("l", args.l),
+        ("ln_EZXl", ln_ezxl),
+        ("mu_l", mu_l(args.l, args.k, args.d)),
+    ])
 
 
 def _run_sdpi(args) -> list[str]:
     p_star, channel = parse_channel(_read_input(args.channel))
     value, argmax = contraction_coefficient(p_star, channel, grid_depth=args.grid_depth)
-    arg = ", ".join(repr(float(v)) for v in argmax.weights)
-    return [f"d_star = {value!r}", f"argmax = [{arg}]"]
+    return format_fields([("d_star", value), ("argmax", argmax.weights)])
 
 
 def _run_verify_k4(args) -> list[str]:
@@ -249,14 +240,14 @@ def _run_verify_k4(args) -> list[str]:
 
 def _run_conjecture(args) -> list[str]:
     res = occupation_contraction(args.k, grid_depth=args.grid_depth)
-    return [
-        f"k = {args.k}",
-        f"conjectured = {res.conjectured!r}",
-        f"sup = {res.sup!r}",
-        f"gap = {res.gap!r}",
-        f"argmax_w1 = {res.argmax.w1!r}",
-        f"argmax_w2 = {res.argmax.w2!r}",
-    ]
+    return format_fields([
+        ("k", args.k),
+        ("conjectured", res.conjectured),
+        ("sup", res.sup),
+        ("gap", res.gap),
+        ("argmax_w1", res.argmax.w1),
+        ("argmax_w2", res.argmax.w2),
+    ])
 
 
 def _run_sample(args) -> list[str]:
@@ -270,8 +261,7 @@ def _run_sample(args) -> list[str]:
 
 def _run_count(args) -> list[str]:
     cfg = deserialize(_read_input(args.infile))
-    z = count_solutions(cfg, cap=args.cap)
-    return [f"solutions = {z}"]
+    return format_fields([("solutions", count_solutions(cfg, cap=args.cap))])
 
 
 def main(argv=None) -> int:

@@ -306,33 +306,70 @@ def expected_redundant_exact(params: Params) -> LogReal:
     return LogReal(value)
 
 
-_FIELD_ORDER = ("n", "d", "k", "r", "m", "wiring")
+_CONFIGURATION_FIELDS = {"n": int, "d": int, "k": int, "r": int, "m": int, "wiring": [int]}
+
+
+def _format_value(value) -> str:
+    if type(value) in (int, float):  # first, as every entry of a list comes here
+        return repr(value)
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(map(_format_value, value)) + "]"
+    if isinstance(value, np.generic):
+        value = value.item()
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value)
+
+
+def format_fields(pairs) -> list[str]:
+    """One ``key = value`` line per ``(key, value)`` pair, in the given order.
+
+    Numbers are written with ``repr``, numpy scalars as the Python
+    numbers they hold, so a float keeps every bit; booleans are written
+    in lower case, and arrays, lists and tuples as ``[a, b, ...]``.
+    """
+    return [f"{key} = {_format_value(value)}" for key, value in pairs]
 
 
 def serialize(cfg: Configuration) -> str:
     """Canonical text form; field order fixed as n, d, k, r, m, wiring."""
     p = cfg.params
-    wiring = ", ".join(str(int(x)) for x in cfg.wiring)
-    return (
-        f"n = {p.n}\n"
-        f"d = {p.d}\n"
-        f"k = {p.k}\n"
-        f"r = {p.r}\n"
-        f"m = {p.m}\n"
-        f"wiring = [{wiring}]\n"
-    )
+    pairs = zip(_CONFIGURATION_FIELDS, (p.n, p.d, p.k, p.r, p.m, cfg.wiring))
+    return "\n".join(format_fields(pairs)) + "\n"
 
 
-def read_fields(text: str, order: tuple[str, ...]):
-    """Yield ``(key, value, line)`` for each ``key = value`` line of a document.
+def _parse_value(value: str, kind, key: str, line: int):
+    # ``kind`` is int, [int] or [float]; lists come back as numpy arrays
+    try:
+        if kind is int:
+            return int(value)
+        (item,) = kind
+        if not (value.startswith("[") and value.endswith("]")):
+            raise ValueError
+        body = value[1:-1].strip()
+        entries = [item(tok) for tok in body.split(",")] if body else []
+        return np.array(entries, dtype=np.int64 if item is int else float)
+    except ValueError:
+        wanted = "an integer" if kind is int else f"a bracketed list of {kind[0].__name__}s"
+        raise ParseError(f"could not parse value for {key!r}: must be {wanted}", line=line) from None
+    except OverflowError:
+        raise ParseError(f"{key} entries must fit in a signed 64-bit integer", line=line) from None
 
-    Blank lines and lines starting with '#' are skipped.  The keys must
-    follow ``order``; a line without '=', a key out of order or a key
-    past the end of ``order`` raises :class:`ParseError` with its 1-based
-    line number, and so do keys left unread at the end, on the line
-    after the last key read.
+
+def read_fields(text: str, kinds: dict):
+    """Read a ``key = value`` document into dicts of its values and 1-based lines.
+
+    ``kinds`` maps each key, in document order, to ``int``, ``[int]`` or
+    ``[float]``, a list ``[a, b, ...]`` read into an int64 or float64
+    array.  Blank lines and lines starting with '#' are skipped.  A line
+    without '=', a key out of order or past the end of ``kinds``, or a
+    value that does not parse raises :class:`ParseError` on its line, and
+    keys left unread do on the line after the last key read.
     """
-    expect = iter(order)
+    expect = iter(kinds)
+    values, lines = {}, {}
     last = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -347,11 +384,12 @@ def read_fields(text: str, order: tuple[str, ...]):
             raise ParseError(f"unexpected extra field {key!r}", line=lineno)
         if key != wanted:
             raise ParseError(f"expected field {wanted!r}, got {key!r}", line=lineno)
-        last = lineno
-        yield key, value.strip(), lineno
+        values[key] = _parse_value(value.strip(), kinds[key], key, lineno)
+        lines[key] = last = lineno
     missing = list(expect)
     if missing:
         raise ParseError(f"missing fields {missing}", line=last + 1)
+    return values, lines
 
 
 def deserialize(text: str) -> Configuration:
@@ -361,29 +399,11 @@ def deserialize(text: str) -> Configuration:
     :class:`ParseError` with the offending line; families with
     ``d*n != k*m`` raise :class:`ParameterError`.
     """
-    fields = {}
-    for key, value, line in read_fields(text, _FIELD_ORDER):
-        if key == "wiring":
-            if not (value.startswith("[") and value.endswith("]")):
-                raise ParseError("wiring must be a bracketed integer list", line=line)
-            body = value[1:-1].strip()
-            try:
-                entries = [int(tok) for tok in body.split(",")] if body else []
-                fields[key] = np.array(entries, dtype=np.int64)
-            except ValueError:
-                raise ParseError("wiring entries must be integers", line=line) from None
-            except OverflowError:
-                raise ParseError("wiring entries must fit in a signed 64-bit integer", line=line) from None
-        else:
-            try:
-                fields[key] = int(value)
-            except ValueError:
-                raise ParseError(f"field {key!r} must be an integer", line=line) from None
+    fields, lines = read_fields(text, _CONFIGURATION_FIELDS)
     params = Params(n=fields["n"], d=fields["d"], k=fields["k"], r=fields["r"])
     if fields["m"] != params.m:
         raise ParameterError(f"stated m={fields['m']} but d*n/k={params.m}")
     try:
         return Configuration(params, fields["wiring"])
     except ParameterError as exc:
-        # wiring is the last field, so its line is the last one read
-        raise ParseError(str(exc), line=line) from None
+        raise ParseError(str(exc), line=lines["wiring"]) from None

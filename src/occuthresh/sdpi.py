@@ -28,7 +28,7 @@ bisection exactly as the certificate records.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from .errors import (
     ParameterError,
     ParseError,
 )
-from .instances import read_fields
+from .instances import format_fields, read_fields
 from .moments import (
     OverlapPoint,
     input_kl,
@@ -191,7 +191,9 @@ def contraction_coefficient(
     direction and its negation when their ladders hold more; a grid of
     more than ``_GRID_POINTS`` points raises :class:`CapacityError` before
     any of it is built.  The reference pmf must have full support and at least
-    two inputs, and a NaN or +inf ratio raises.
+    two inputs, and a NaN or +inf ratio raises, as does a p* entry so
+    small (below about 1e-31) that the SVD keeps fewer than rank(W) - 1
+    directions.
     """
     if grid_depth < 2:
         raise ParameterError(f"need grid_depth >= 2, got {grid_depth}")
@@ -211,6 +213,9 @@ def contraction_coefficient(
     root_p, root_q = np.sqrt(p), np.sqrt(q[keep])
     _, sv, vt = np.linalg.svd(matrix[keep] * root_p / root_q[:, None] - np.outer(root_q, root_p))
     m = int(np.count_nonzero(sv > max(matrix.shape) * np.finfo(float).eps))
+    if np.linalg.matrix_rank(matrix) - 1 > m:  # the sqrt(p*) weighting lost a direction
+        i = int(np.argmin(p))
+        raise ParameterError(f"p_star[{i}] = {float(p[i])!r} is too small: a tilt direction is lost")
     basis = vt[:m].T / root_p[:, None]
     reach, ladder = 1, min(grid_depth, 2**15 - 1)
     while m > 1 and _shell(m, reach + 1) <= _DIRECTIONS:
@@ -482,56 +487,31 @@ def certify_k4_contraction(grid_points: int = 20001, root_tol: float = 1e-12) ->
 # ---------------------------------------------------------------------------
 
 
-_CHANNEL_FIELDS = ("n_in", "n_out", "matrix", "p_star")
+_CHANNEL_FIELDS = {"n_in": int, "n_out": int, "matrix": [float], "p_star": [float]}
 
 
 def format_channel(p_star: Pmf, channel: Channel) -> str:
     """Channel/pmf document: n_in, n_out, column-major matrix, reference pmf."""
-    cols = channel.matrix.T.ravel()
-    matrix = ", ".join(repr(float(v)) for v in cols)
-    pstar = ", ".join(repr(float(v)) for v in p_star.weights)
-    return (
-        f"n_in = {channel.n_in}\n"
-        f"n_out = {channel.n_out}\n"
-        f"matrix = [{matrix}]\n"
-        f"p_star = [{pstar}]\n"
-    )
+    values = (channel.n_in, channel.n_out, channel.matrix.T.ravel(), p_star.weights)
+    return "\n".join(format_fields(zip(_CHANNEL_FIELDS, values))) + "\n"
 
 
 def parse_channel(text: str) -> tuple[Pmf, Channel]:
     """Parse the channel/pmf document; '#' lines are comments."""
-    fields = {}
-    for key, value, line in read_fields(text, _CHANNEL_FIELDS):
-        try:
-            if key in ("n_in", "n_out"):
-                fields[key] = int(value)
-            else:
-                if not (value.startswith("[") and value.endswith("]")):
-                    raise ValueError
-                body = value[1:-1].strip()
-                fields[key] = [float(tok) for tok in body.split(",")] if body else []
-        except ValueError:
-            raise ParseError(f"could not parse value for {key!r}", line=line) from None
-        if key in ("n_in", "n_out") and fields[key] < 1:
-            raise ParseError(f"{key} must be >= 1, got {fields[key]}", line=line)
+    fields, lines = read_fields(text, _CHANNEL_FIELDS)
+    for key in ("n_in", "n_out"):
+        if fields[key] < 1:
+            raise ParseError(f"{key} must be >= 1, got {fields[key]}", line=lines[key])
     n_in, n_out = fields["n_in"], fields["n_out"]
-    if len(fields["matrix"]) != n_in * n_out:
-        raise ParseError(f"matrix needs {n_in * n_out} entries, got {len(fields['matrix'])}", line=line)
-    if len(fields["p_star"]) != n_in:
-        raise ParseError(f"p_star needs {n_in} entries, got {len(fields['p_star'])}", line=line)
-    matrix = np.array(fields["matrix"], dtype=float).reshape(n_in, n_out).T
-    return Pmf(np.array(fields["p_star"])), Channel(matrix)
+    for key, size in (("matrix", n_in * n_out), ("p_star", n_in)):
+        if fields[key].size != size:
+            raise ParseError(f"{key} needs {size} entries, got {fields[key].size}", line=lines[key])
+    return Pmf(fields["p_star"]), Channel(fields["matrix"].reshape(n_in, n_out).T)
 
 
 def format_certificate(cert: K4Certificate) -> str:
-    lines = [
-        f"w_bar = {cert.w_bar!r}",
-        f"w_0 = {cert.w_0!r}",
-        f"grid_resolution = {cert.grid_resolution}",
-        f"max_ratio_found = {cert.max_ratio_found!r}",
-        f"conjectured_d_star = {cert.conjectured_d_star!r}",
-        f"ratio_at_w_bar = {cert.ratio_at_w_bar!r}",
-    ]
-    for name in sorted(cert.margins):
-        lines.append(f"margin.{name} = {cert.margins[name]!r}")
-    return "\n".join(lines) + "\n"
+    """Certificate document: its fields in order, then ``margin.<name>`` sorted by name."""
+    fields = asdict(cert)
+    margins = fields.pop("margins")
+    pairs = [*fields.items(), *((f"margin.{name}", margins[name]) for name in sorted(margins))]
+    return "\n".join(format_fields(pairs)) + "\n"

@@ -354,6 +354,22 @@ class TestErrorContract:
         assert run(["sdpi", "--channel", str(channel)]) == 2
         assert "reference pmf needs full support, but p_star[1] = 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tiny", ["1e-100", "1e-300", "1e-310"])
+    def test_tiny_reference_entry_exits_2(self, tmp_path, capsys, tiny):
+        # the sqrt(p*) weighting drops the channel's one tilt direction below
+        # rounding; searching without it would give a rounding-level d_star
+        channel = tmp_path / "channel.txt"
+        channel.write_text(f"n_in = 2\nn_out = 2\nmatrix = [0.9, 0.1, 0.2, 0.8]\np_star = [{tiny}, 1.0]\n")
+        assert run(["sdpi", "--channel", str(channel)]) == 2
+        assert f"p_star[0] = {tiny} is too small" in capsys.readouterr().err
+
+    def test_small_reference_entry_keeps_its_direction(self, tmp_path):
+        channel = tmp_path / "channel.txt"
+        channel.write_text("n_in = 2\nn_out = 2\nmatrix = [0.9, 0.1, 0.2, 0.8]\np_star = [1e-20, 1.0]\n")
+        out = tmp_path / "out.txt"
+        assert run(["sdpi", "--channel", str(channel), "--out", str(out)]) == 0
+        assert data_section(out)[0] == "d_star = 0.024879113184930746"
+
     def test_oversized_grid_exits_2_at_once(self, tmp_path, capsys):
         # 10 inputs and 10 outputs: rank 10, tilts in 9 dimensions, whose
         # fewest directions are the 3^9 - 1 = 19682 of the unit cube shell;

@@ -752,6 +752,18 @@ class TestChannelFiles:
         with pytest.raises(ParseError, match="line 2: n_out must be >= 1, got -1"):
             parse_channel("n_in = 2\nn_out = -1\nmatrix = []\np_star = []\n")
 
+    @pytest.mark.parametrize(
+        "matrix, p_star, message",
+        [
+            ("[1, 0]", "[0.5, 0.5]", "line 3: matrix needs 4 entries, got 2"),
+            ("[1, 0, 0, 1]", "[0.5, 0.25, 0.25]", "line 6: p_star needs 2 entries, got 3"),
+        ],
+    )
+    def test_size_errors_name_their_own_line(self, matrix, p_star, message):
+        text = f"n_in = 2\nn_out = 2\nmatrix = {matrix}\n\n# comment\np_star = {p_star}\n"
+        with pytest.raises(ParseError, match=message):
+            parse_channel(text)
+
     def test_comments_ignored(self):
         w = Channel(np.eye(2))
         p = Pmf(np.array([0.5, 0.5]))
