@@ -165,19 +165,23 @@ def _census_pairs(params: Params, wirings: np.ndarray, l_max: int) -> np.ndarray
     """
     p = params
     rows = len(wirings)
-    wedges = p.n * (p.d * (p.d - 1) // 2)
+    pairs = p.d * (p.d - 1) // 2
+    wedges = p.n * pairs
     # keys ({a, b}*n + v): a wedge with a == b gets a key of its own past
     # m*m*n, so it pairs with none
     dtype = np.int32 if (p.m * p.m + wedges) * p.n < 2**31 else np.int64
     a, b = _wedges(p, wirings, dtype)
-    loop = a == b
+    loops = np.flatnonzero(a == b)  # flat: row*wedges + wedge
     counts = np.empty((rows, l_max), dtype=np.int64)
-    counts[:, 0] = loop.sum(axis=(1, 2))
+    counts[:, 0] = np.bincount(loops // wedges, minlength=rows)
     if l_max >= 2:
-        var = np.arange(p.n, dtype=dtype)[:, None]
-        own = ((p.m * p.m + np.arange(wedges, dtype=dtype)) * p.n).reshape(p.n, -1)
-        keys = np.where(loop, own, (np.minimum(a, b) * p.m + np.maximum(a, b)) * p.n + var)
-        keys = np.sort(keys.reshape(rows, wedges), axis=1)
+        keys = np.minimum(a, b)
+        keys *= p.m
+        keys += np.maximum(a, b, out=b)
+        keys *= p.n
+        keys += np.arange(p.n, dtype=dtype).repeat(pairs)
+        keys.put(loops, (p.m * p.m + loops % wedges) * p.n)
+        keys.sort(axis=1)
         counts[:, 1] = _equal_pairs(keys // p.n) - _equal_pairs(keys)
     return counts
 

@@ -12,12 +12,14 @@ identical instances on every platform.
 
 Shuffles run a block of seeds at a time: the draws of every seed form
 one array, and the Fisher-Yates swaps of all of the block's rows are
-resolved together by a sort and pointer doubling, in a number of numpy
-calls that grows with log n, not with n.  A configuration drawn alone is
-the block of its one seed, so it has the bits it has in any block.
-Callers with many seeds (``sample_simple``, the cycle census,
-satisfiability sweeps) draw them in the blocks of ``_seed_blocks``,
-which bounds memory by the block, not by the number of seeds.
+resolved together by a sort and pointer jumping, in a number of numpy
+calls that grows with log n, not with n.  Two jumping rounds run over
+every slot of the block; after them only the few pointers still moving
+jump again.  A configuration drawn alone is the block of its one seed,
+so it has the bits it has in any block.  Callers with many seeds
+(``sample_simple``, the cycle census, satisfiability sweeps) draw them
+in the blocks of ``_seed_blocks``, which bounds memory by the block, not
+by the number of seeds.
 
 Seed splitting: child ``i`` of a master seed is the ``(i+1)``-st output
 of the SplitMix64 sequence started at the master seed.  Callers
@@ -85,10 +87,14 @@ def _permutations(seeds, n: int) -> np.ndarray:
     larger index) picked ``j``, else what slot ``t`` held just before
     step ``t``, for ``t`` the last of those to run (the smallest).  What
     slot ``t`` held just before step ``t`` follows the same rule, along
-    chains of increasing steps; pointer doubling finds the end of every
-    chain in O(log n) rounds.  The work is a sort and a few gathers per
-    round over all rows at once, so one seed costs about what it costs
-    in a block.
+    chains of increasing steps.  One stable sort of each row's picks
+    groups the steps by the slot they pick, which gives every chain's
+    first link, and pointer jumping finds the end of every chain in
+    O(log n) rounds: two over all slots of all rows at once, then rounds
+    over the shrinking set of pointers that moved in the round before.
+    Most chains are short, so that set is about an eighth of the slots
+    after the second round.  One seed costs about what it costs in a
+    block.
     """
     seeds = np.asarray(seeds, dtype=np.uint64)
     bounds = np.arange(n, 1, -1).astype(np.uint64)
@@ -106,35 +112,57 @@ def _permutations(seeds, n: int) -> np.ndarray:
     rows = seeds.size
     size = rows * n
     # picks[c, i]: the slot step i swaps with slot i in row c (step 0 picks 0)
-    picks = np.zeros((rows, n), dtype=np.int64)
-    picks[:, :0:-1] = draws % bounds
+    np.remainder(draws, bounds, out=draws)
+    picks = np.zeros((rows, n), dtype=np.min_scalar_type(n))
+    picks[:, :0:-1] = draws
     # Indices below are flat, row c offset by c*n.  by_pick lists the steps
-    # grouped by the slot they pick, in increasing order within a group;
-    # group s starts at start[s] and has counts[s] steps.
+    # grouped by the slot they pick, in increasing order within a group, and
+    # ends[t] is the slot that step by_pick[t] picks.
     base = np.arange(0, size, n)[:, None]
-    picked = (picks + base).ravel()
-    order = np.argsort(picks.astype(np.min_scalar_type(n)), axis=1, kind="stable")
-    by_pick = np.append((order + base).ravel(), 0)
-    counts = np.bincount(picked, minlength=size)
-    start = np.cumsum(counts) - counts
+    order = np.argsort(picks, axis=1, kind="stable")
+    order += base
+    by_pick = order.ravel()
+    ends = (picks + base).ravel().take(by_pick)
+    later = ends[1:] == ends[:-1]  # by_pick[t + 1] is in the group of by_pick[t]
     # held[s] ends as what slot s holds just before step s.  It first points
-    # to the smallest step above s that picks s (s itself, if it picks s,
-    # is the smallest of its group), or to s where there is none.
-    slots = np.arange(size)
-    own = (picked == slots).astype(np.int64)
-    held = np.where(counts > own, by_pick[start + own], slots)
-    while True:
-        jumped = held[held]
-        if np.array_equal(jumped, held):
-            break
-        held = jumped
+    # to the smallest step above s that picks s, or to s where there is
+    # none: the first step of the group of s, unless that is s itself (a
+    # step picks no slot above it, so s comes first in its group).
+    own = by_pick == ends
+    first = ~own
+    first[1:] &= own[:-1] | ~later
+    # Selects here are arithmetic, as np.where mispredicts on a random
+    # mask: the steps not first write to the spare entry held[size].
+    target = ends - size
+    target *= first
+    target += size
+    held = np.arange(size + 1)
+    held[target] = by_pick
+    # Pointer jumping along the chains, which rise from slot to step: a
+    # pointer moves to where its target points, until the target points to
+    # itself.  Most chains are short, so after two rounds over every slot
+    # only the pointers that moved in the last round jump again.
+    held = held.take(held)
+    jumped = held.take(held)
+    moving = np.flatnonzero(jumped != held)
+    held = jumped
+    at = held.take(moving)
+    while moving.size:
+        jumped = held.take(at)
+        held[moving] = jumped
+        moved = jumped != at
+        moving, at = moving[moved], jumped[moved]
     # Each step takes what the next larger step of its group held, or the
-    # picked slot itself if it is the largest.
-    slot_of = np.repeat(slots, counts)
-    later = np.append(slot_of[1:] == slot_of[:-1], False)
-    out = np.empty(size, dtype=np.int64)
-    out[by_pick[:-1]] = np.where(later, held[by_pick[1:]], slot_of)
-    return out.reshape(rows, n) - base
+    # picked slot itself if it is the largest: ends[t] moves by the
+    # difference where later[t].
+    taken = held.take(by_pick[1:])
+    taken -= ends[:-1]
+    taken *= later
+    ends[:-1] += taken
+    out = np.empty((rows, n), dtype=np.int64)
+    out.ravel()[by_pick] = ends
+    out -= base
+    return out
 
 
 @dataclass(frozen=True)
@@ -172,8 +200,9 @@ def _check_permutations(wirings: np.ndarray):
     rows, slots = wirings.shape
     if wirings.min() < 0 or wirings.max() >= slots:
         raise ParameterError("wiring entries out of range")
-    seen = np.zeros((rows, slots), dtype=bool)
-    seen[np.arange(rows)[:, None], wirings] = True
+    # entries in range, so row r's marks stay in row r of the flat array
+    seen = np.zeros(rows * slots, dtype=bool)
+    seen[wirings + np.arange(0, rows * slots, slots)[:, None]] = True
     if not seen.all():
         raise ParameterError("wiring is not a permutation")
 
@@ -242,20 +271,24 @@ def sample_configuration(params: Params, seed: int) -> Configuration:
 def _wedges(params: Params, wirings: np.ndarray, dtype) -> tuple:
     """Constraints (a, b) of each variable's C(d, 2) slot pairs ("wedges").
 
-    Two (rows, n, C(d, 2)) arrays of ``dtype``: wedge j of variable v in
-    row i joins the slots of v that row i wires to constraints a[i, v, j]
-    and b[i, v, j].
+    Two (rows, n*C(d, 2)) arrays of ``dtype``: wedge ``v*C(d, 2) + j``,
+    the j-th of variable v, in row i joins the slots of v that row i
+    wires to constraints a[i, v*C(d, 2) + j] and b[i, v*C(d, 2) + j].
+    The wedges are one axis, not (n, C(d, 2)), so no operation on them
+    runs numpy's slow loop over a short last axis.
     """
     p = params
-    con = (wirings // p.k).astype(dtype, copy=False).reshape(len(wirings), p.n, p.d)
+    con = wirings.astype(dtype)
+    con //= p.k
     ii, jj = np.triu_indices(p.d, k=1)
-    return con[:, :, ii], con[:, :, jj]
+    starts = np.arange(0, p.n_slots, p.d)[:, None]  # each variable's first slot
+    return con.take((starts + ii).ravel(), axis=1), con.take((starts + jj).ravel(), axis=1)
 
 
 def _two_cycle_counts(params: Params, wirings: np.ndarray) -> np.ndarray:
     """Two-cycles of each row of a block: wedges whose two slots meet one constraint."""
     a, b = _wedges(params, wirings, np.int64)
-    return (a == b).sum(axis=(1, 2))
+    return np.count_nonzero(a == b, axis=1)
 
 
 def count_two_cycles(cfg: Configuration) -> int:

@@ -164,22 +164,24 @@ def kl_divergence_rows(ps: np.ndarray, p_star: np.ndarray) -> np.ndarray:
     q = np.asarray(p_star, dtype=float)
     if ps.ndim != 2 or ps.shape[1] != q.size:
         raise ContractViolation("ps must be (n_points, n_outcomes) matching p_star")
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         d = ps - q
         terms = d / q
         np.log1p(terms, out=terms)
         terms *= ps
         terms -= d
-    # Every entry the fix-ups below rewrite is non-finite: p = 0 gives NaN,
-    # a lost p gives -inf and q = 0 < p gives +inf.
-    if not np.isfinite(terms).all():
-        lost = terms == -np.inf  # p so far below q that d / q rounds to -1
-        if lost.any():
-            p_lost, q_lost = ps[lost], np.broadcast_to(q, ps.shape)[lost]
-            terms[lost] = p_lost * (np.log(p_lost) - np.log(q_lost)) - (p_lost - q_lost)
-        terms = np.where(ps == 0.0, q, terms)
-        zero_q = (q == 0.0) & (ps > 0.0)
-        terms = np.where(zero_q, np.inf, terms)
+        # Every entry the fix-ups below rewrite is non-finite.  p = 0 gives
+        # NaN.  p > 0 gives -inf where p is so far below q that d / q rounds
+        # to -1, and +inf where q = 0 or q is so far below p (a subnormal q)
+        # that d / q overflows; those terms are recomputed as
+        # p (ln p - ln q) - (p - q), which is +inf where q = 0.
+        redo = ~np.isfinite(terms)
+        if redo.any():
+            redo &= ps > 0.0
+            if redo.any():
+                p_redo, q_redo = ps[redo], np.broadcast_to(q, ps.shape)[redo]
+                terms[redo] = p_redo * (np.log(p_redo) - np.log(q_redo)) - (p_redo - q_redo)
+            terms = np.where(ps == 0.0, q, terms)
     return terms.sum(axis=1)
 
 

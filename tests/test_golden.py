@@ -15,8 +15,13 @@ gave way to the search over exponential tilts: ``d_star`` moved by
 3.5e-16 relative and the argmax entries by at most 2.3e-8.
 The ``conjecture`` sections were recorded with the line over w1 alone
 that ``conjecture`` searched before it moved to the same tilt search.
+The n = 400 pair census over 24 blocks and the n = 400 ``sample
+--simple`` digests were recorded before the sampler resolved its swap
+chains on a shrinking set of pointers and the pair census held its
+wedges on one axis.
 """
 
+import hashlib
 from datetime import datetime
 
 import pytest
@@ -85,11 +90,26 @@ CYCLES_K4_D3_N400_SEED3_L4 = [
     "4,159.25,162.0,-0.4321208107251124,68.25,0.0,1",
 ]
 
+# 300 samples in 24 blocks of 13 rows, the last of them one row: the pair
+# census at n = 400 over full blocks and a partial one
+CYCLES_K4_D3_N400_SEED77001 = [
+    "l,empirical_mean,lambda,z_score,empirical_var,chi2,dof",
+    "1,2.9966666666666666,3.0,-0.0333333333333341,2.9464771460423633,5.950131795770501,7",
+    "2,9.1,9.0,0.5773502691896237,9.006688963210703,12.332211113916586,13",
+]
+
 SAMPLE_K4_D3_N12_SEED9 = {
     "plain": "[14, 30, 20, 29, 25, 26, 17, 24, 23, 3, 33, 32, 13, 9, 0, 34, 12, 19, "
     "7, 27, 5, 11, 10, 21, 28, 2, 6, 31, 22, 18, 8, 1, 15, 35, 16, 4]",
     "simple": "[30, 14, 11, 33, 25, 19, 4, 10, 24, 27, 23, 15, 28, 16, 22, 12, 0, 9, "
     "18, 2, 26, 34, 3, 7, 29, 17, 5, 21, 32, 31, 1, 13, 35, 8, 20, 6]",
+}
+
+# sha256 of the data section, its lines joined by and ending in newlines, of
+# ``sample --k 4 --d 3 --n 400 --simple``: 1200-slot wirings, too long to inline
+SAMPLE_SIMPLE_K4_D3_N400_SHA256 = {
+    "1": "ef795c60034a65b4e51f2afcaa29fb8f74489f98c53cef67f90a9ae9d7237c40",
+    str((1 << 64) - 1): "47dc29d2c1b1dad40f042fc65430dc62b25f67ee4b009ba39a36a3bc75fca547",
 }
 
 CHANNEL_3X3 = """# fixed 3-input, 3-output channel
@@ -237,6 +257,12 @@ def test_cycles_data_section(tmp_path):
     assert got == CYCLES_K4_D3_N60_SEED3
 
 
+def test_cycles_blocks_data_section(tmp_path):
+    got = run_data(tmp_path, ["cycles", "--k", "4", "--d", "3", "--n", "400", "--samples", "300",
+                              "--l-max", "2", "--seed", "77001", "--threads", "1"])
+    assert got == CYCLES_K4_D3_N400_SEED77001
+
+
 def test_cycles_walk_data_section(tmp_path):
     got = run_data(tmp_path, ["cycles", "--k", "4", "--d", "3", "--n", "400", "--samples", "4",
                               "--l-max", "4", "--seed", "3", "--threads", "1"])
@@ -249,6 +275,15 @@ def test_sample_data_section(tmp_path, kind):
     got = run_data(tmp_path, argv + (["--simple"] if kind == "simple" else []))
     header = ["n = 12", "d = 3", "k = 4", "r = 2", "m = 9"]
     assert got == header + [f"wiring = {SAMPLE_K4_D3_N12_SEED9[kind]}"]
+
+
+@pytest.mark.parametrize("seed", sorted(SAMPLE_SIMPLE_K4_D3_N400_SHA256))
+def test_sample_simple_n400_data_section(tmp_path, seed):
+    got = run_data(tmp_path, ["sample", "--k", "4", "--d", "3", "--n", "400", "--simple",
+                              "--seed", seed])
+    assert got[:5] == ["n = 400", "d = 3", "k = 4", "r = 2", "m = 300"]
+    digest = hashlib.sha256("".join(line + "\n" for line in got).encode()).hexdigest()
+    assert digest == SAMPLE_SIMPLE_K4_D3_N400_SHA256[seed]
 
 
 def test_sdpi_data_section(tmp_path):

@@ -145,6 +145,31 @@ class TestBatchedFisherYates:
             assert row.tobytes() == want.tobytes()
 
 
+class TestCheckPermutations:
+    """``_check_permutations`` on a block of 13 rows of 1200 slots."""
+
+    @staticmethod
+    def block():
+        return instances._permutations(splitmix64_outputs(25, 0, 13), 1200)
+
+    def test_valid_block_passes(self):
+        instances._check_permutations(self.block())
+
+    def test_repeated_entry_in_a_middle_row(self):
+        wirings = self.block()
+        wirings[6, 0] = wirings[6, 1]
+        with pytest.raises(ParameterError, match="^wiring is not a permutation$"):
+            instances._check_permutations(wirings)
+
+    @pytest.mark.parametrize("entry", [1200, -1])
+    def test_out_of_range_entry_in_a_middle_row(self, entry):
+        # each would mark an entry of a neighbouring row in the flat scan
+        wirings = self.block()
+        wirings[6, 5] = entry
+        with pytest.raises(ParameterError, match="^wiring entries out of range$"):
+            instances._check_permutations(wirings)
+
+
 class TestSampling:
     def test_shape_is_permutation(self):
         cfg = sample_configuration(Params(n=4, d=2, k=4, r=2), seed=5)
