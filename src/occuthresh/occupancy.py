@@ -2,13 +2,28 @@
 
 An assignment solves a configuration when every constraint sees exactly
 ``r`` of its k f-edges wired to value-one variables, counting
-multiplicity.  Deciding and counting share one exact search, exact cover
-with multiplicities (Knuth, TAOCP 4B 7.2.2.1): each constraint keeps
-``(ones, free)`` f-edge tallies, is in conflict when ``ones > r`` or
-``ones + free < r``, forces its free variables to 0 when ``ones == r``
-and to 1 when ``ones + free == r``, and otherwise branches on a free
-variable of the constraint with the fewest free f-edges.  Assignments
-are undone through a trail and the search keeps an explicit stack.
+multiplicity.  Deciding and counting use independent exact algorithms.
+
+Deciding is a propagation search, exact cover with multiplicities
+(Knuth, TAOCP 4B 7.2.2.1): each constraint keeps ``(ones, free)`` f-edge
+tallies, is in conflict when ``ones > r`` or ``ones + free < r``, forces
+its free variables to 0 when ``ones == r`` and to 1 when
+``ones + free == r``, and otherwise branches on a free variable of the
+first constraint with the fewest free f-edges.  Assignments are undone
+through a trail, the search keeps an explicit stack, and it stops at
+the first solution.
+
+Counting is a frontier dynamic program.  Variables are taken in
+breadth-first order over constraints; a state holds the ones-tallies of
+the constraints opened and not yet closed, as base-(r+1) digits of one
+integer, and equal states merge, adding their counts.  Both branches of
+a variable are filtered on the old digits: the 0-branch needs
+``dig + left >= r`` and the 1-branch ``dig + c <= r <= dig + c + left``
+for each constraint it meets ``c`` times with ``left`` f-edges still
+to come, so a constraint closes with its digit at r, and the digit is
+cleared for reuse.  The residual formula rarely splits into
+components, so merging equal states pays where component caching
+(Thurley, SAT 2006) does not.
 """
 
 from __future__ import annotations
@@ -49,17 +64,24 @@ def is_solution(cfg: Configuration, x) -> bool:
     return bool(np.all(tallies == p.r))
 
 
-def _search(cfg: Configuration, early_exit: bool) -> int:
+def _incidence(cfg: Configuration) -> tuple[list, list]:
+    """(constraint, multiplicity) pairs per variable; sorted distinct variables per constraint."""
     p = cfg.params
-    if ones_quota(p) is None:
-        return 0
-    r = p.r
     con_of_slot = (cfg.wiring // p.k).tolist()
-    # (constraint, multiplicity) pairs per variable; distinct variables per constraint.
     edges = [list(Counter(con_of_slot[v * p.d:(v + 1) * p.d]).items()) for v in range(p.n)]
     members = [sorted(set(row)) for row in cfg.constraint_members().tolist()]
+    return edges, members
+
+
+def _search(cfg: Configuration) -> bool:
+    """True iff cfg has a solution, by the propagation search of the module docstring."""
+    p = cfg.params
+    if ones_quota(p) is None:
+        return False
+    r, k = p.r, p.k
+    edges, members = _incidence(cfg)
     ones = [0] * p.m
-    free = [p.k] * p.m
+    free = [k] * p.m
     value = [-1] * p.n
     trail = []
 
@@ -84,40 +106,124 @@ def _search(cfg: Configuration, early_exit: bool) -> int:
                     ok = False
                 elif f and (o == r or o + f == r):
                     forced = int(o < r)
-                    pending.extend((u, forced) for u in members[a] if value[u] < 0)
+                    for u in members[a]:
+                        if value[u] < 0:
+                            pending.append((u, forced))
             if not ok:
                 return False
         return True
 
     def undo(mark: int):
-        while len(trail) > mark:
-            v = trail.pop()
+        for v in trail[mark:]:
             b = value[v]
             for a, c in edges[v]:
                 free[a] += c
                 ones[a] -= b * c
             value[v] = -1
+        del trail[mark:]
 
-    count = 0
     stack = []  # (trail mark, variable) of decisions whose value-one branch is pending
     ok = True
     while True:
         if ok:
-            unfilled = [(f, a) for a, f in enumerate(free) if f]
-            if unfilled:
-                v = next(u for u in members[min(unfilled)[1]] if value[u] < 0)
-                stack.append((len(trail), v))
-                ok = propagate(v, 0)
-                continue
-            count += 1
-            if early_exit:
-                break
+            # branch in the first constraint with the fewest free f-edges
+            for f in range(1, k + 1):
+                if f in free:
+                    a = free.index(f)
+                    break
+            else:
+                return True
+            for v in members[a]:
+                if value[v] < 0:
+                    break
+            stack.append((len(trail), v))
+            ok = propagate(v, 0)
+            continue
         if not stack:
-            break
+            return False
         mark, v = stack.pop()
         undo(mark)
         ok = propagate(v, 1)
-    return count
+
+
+# Most distinct frontier states the counting DP keeps after any one
+# variable.  Seeded sweeps of 240 families (k <= 8, d <= 6, every r,
+# n in {16, 24, 32}) peaked at 8.9e3 and 2.1e4 states, at least 480
+# times below; k = 6, d = 3 reached up to 7.2e6 over six seeds at
+# n = 72.  A merge holds up to twice the states as candidates, about
+# 62 bytes each, so the DP stays under about 1.3 GB.
+_FRONTIER_STATES = 10**7
+
+
+def _bfs_order(edges: list, members: list) -> list[int]:
+    """Variables in breadth-first order over constraints, from constraint 0.
+
+    Each constraint taken from the queue emits its unemitted members in
+    increasing order, then queues their constraints not yet reached; an
+    exhausted queue restarts at the next unreached constraint.
+    """
+    emitted = [False] * len(edges)
+    reached = [False] * len(members)
+    order = []
+    for start in range(len(members)):
+        if reached[start]:
+            continue
+        reached[start] = True
+        queue = [start]
+        for a in queue:  # the queue grows while it is read
+            new = [u for u in members[a] if not emitted[u]]
+            for u in new:
+                emitted[u] = True
+            order += new
+            for u in new:
+                for b, _ in edges[u]:
+                    if not reached[b]:
+                        reached[b] = True
+                        queue.append(b)
+    return order
+
+
+def _frontier_steps(p: Params, edges: list, members: list) -> tuple[list, int]:
+    """One step per variable of the BFS order, and the most digits a state needs.
+
+    A step is ``(checks, clear, shift)``.  ``checks`` pairs the place
+    value of each constraint the variable meets with a table over its
+    digit (the constraint's ones so far): bit 1 is set where the
+    0-branch keeps the state, bit 2 where the 1-branch does.  The
+    0-branch subtracts ``clear``, which empties the digits of the
+    constraints this variable closes, and the 1-branch adds ``shift``.
+    A closed constraint's digit position is reused.
+    """
+    r, base = p.r, p.r + 1
+    left = [p.k] * p.m
+    position = [0] * p.m
+    unused, width = [], 0
+    steps, tables = [], {}
+    for v in _bfs_order(edges, members):
+        checks, closed, ones = [], [], 0
+        for a, c in edges[v]:
+            if left[a] == p.k:
+                if unused:
+                    position[a] = unused.pop()
+                else:
+                    position[a], width = width, width + 1
+            left[a] -= c
+            place = base ** position[a]
+            if (c, left[a]) not in tables:
+                # the 0-branch must still reach r; the 1-branch must not
+                # pass r and must still reach it (at the last f-edge: hit it)
+                tables[c, left[a]] = np.array(
+                    [(o + left[a] >= r) + 2 * (o + c <= r <= o + c + left[a]) for o in range(base)],
+                    dtype=np.int8,
+                )
+            checks.append((place, tables[c, left[a]]))
+            ones += c * place
+            if not left[a]:
+                closed.append(position[a])
+        clear = sum(r * base**q for q in closed)
+        steps.append((checks, clear, ones - clear))
+        unused += closed
+    return steps, width
 
 
 def _check_cap(n: int, cap: int):
@@ -129,15 +235,54 @@ def _check_cap(n: int, cap: int):
 
 
 def count_solutions(cfg: Configuration, cap: int = ENUMERATION_CAP) -> int:
-    """Exact solution count; 0 immediately when the ones quota is fractional."""
-    _check_cap(cfg.params.n, cap)
-    return _search(cfg, early_exit=False)
+    """Exact solution count by the frontier dynamic program of the module docstring.
+
+    0 immediately when the ones quota is fractional; past
+    ``_FRONTIER_STATES`` distinct states it raises CapacityError.
+    """
+    p = cfg.params
+    _check_cap(p.n, cap)
+    if ones_quota(p) is None:
+        return 0
+    base = p.r + 1
+    steps, width = _frontier_steps(p, *_incidence(cfg))
+    # fixed-width integers while they cannot overflow, Python integers past that
+    states = np.zeros(1, dtype=np.int64 if base**width < 2**63 else object)
+    counts = np.ones(1, dtype=np.int64 if p.n < 63 else object)
+    for checks, clear, shift in steps:
+        fits = 3
+        for place, table in checks:
+            fits = fits & table[(states // place % base).astype(np.intp, copy=False)]
+        keep0, keep1 = (fits & 1).view(bool), (fits >> 1).view(bool)
+        # each branch maps distinct sorted states to distinct sorted
+        # states, so only a state both branches reach needs merging
+        if not keep1.any():
+            states, counts = states.compress(keep0) - clear, counts.compress(keep0)
+            if not len(states):
+                return 0
+        elif not keep0.any():
+            states, counts = states.compress(keep1) + shift, counts.compress(keep1)
+        else:
+            states = np.concatenate(
+                (states.compress(keep0) - clear, states.compress(keep1) + shift)
+            )
+            counts = np.concatenate((counts.compress(keep0), counts.compress(keep1)))
+            order = np.argsort(states, kind="stable")
+            states, counts = states[order], counts[order]
+            starts = np.flatnonzero(np.concatenate(([True], states[1:] != states[:-1])))
+            states, counts = states[starts], np.add.reduceat(counts, starts)
+            if len(states) > _FRONTIER_STATES:
+                raise CapacityError(
+                    f"exact counting at n={p.n} reached {len(states)} frontier states, "
+                    f"over the limit of {_FRONTIER_STATES}"
+                )
+    return int(counts.sum())
 
 
 def has_solution(cfg: Configuration, cap: int = ENUMERATION_CAP) -> bool:
     """Early-exit satisfiability decision; agrees with count_solutions > 0."""
     _check_cap(cfg.params.n, cap)
-    return _search(cfg, early_exit=True) > 0
+    return _search(cfg)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,11 @@
 """Independent brute-force oracles.
 
 These deliberately avoid the library's counting paths: solution counts
-come from sweeping all 2^n assignments against per-constraint sums, and
-ensemble expectations from enumerating every wiring permutation of the
-smallest nontrivial family (k=4, d=2, n=4; 8! = 40320 configurations).
+come from sweeping all 2^n assignments against per-constraint sums or,
+where 2^n is too many, from the propagation search that counted before
+the frontier dynamic program, frozen; ensemble expectations come from
+enumerating every wiring permutation of the smallest nontrivial family
+(k=4, d=2, n=4; 8! = 40320 configurations).
 A contraction coefficient's search over exponential tilts is checked
 against a polar grid around p* in the simplex, which knows nothing of
 tilts.
@@ -70,6 +72,78 @@ def count_solutions_bruteforce(cfg: Configuration) -> int:
         x = np.fromiter(((bits >> i) & 1 for i in range(p.n)), dtype=np.int64, count=p.n)
         if np.all(x[members].sum(axis=1) == p.r):
             count += 1
+    return count
+
+
+def count_solutions_search_reference(cfg: Configuration) -> int:
+    """Solution count by the propagation search that counted before the frontier DP.
+
+    Each constraint keeps ``(ones, free)`` f-edge tallies, is in conflict
+    when ``ones > r`` or ``ones + free < r``, forces its free variables
+    when ``ones == r`` or ``ones + free == r``, and otherwise branches on
+    a free variable of the constraint with the fewest free f-edges; every
+    leaf that fills all constraints is one solution.
+    """
+    p = cfg.params
+    if ones_quota(p) is None:
+        return 0
+    r = p.r
+    con_of_slot = (cfg.wiring // p.k).tolist()
+    edges = [list(Counter(con_of_slot[v * p.d:(v + 1) * p.d]).items()) for v in range(p.n)]
+    members = [sorted(set(row)) for row in cfg.constraint_members().tolist()]
+    ones = [0] * p.m
+    free = [p.k] * p.m
+    value = [-1] * p.n
+    trail = []
+
+    def propagate(v: int, b: int) -> bool:
+        pending = [(v, b)]
+        while pending:
+            v, b = pending.pop()
+            if value[v] >= 0:
+                continue
+            value[v] = b
+            trail.append(v)
+            ok = True
+            for a, c in edges[v]:
+                f = free[a] - c
+                o = ones[a] + b * c
+                free[a], ones[a] = f, o
+                if o > r or o + f < r:
+                    ok = False
+                elif f and (o == r or o + f == r):
+                    forced = int(o < r)
+                    pending.extend((u, forced) for u in members[a] if value[u] < 0)
+            if not ok:
+                return False
+        return True
+
+    def undo(mark: int):
+        while len(trail) > mark:
+            v = trail.pop()
+            b = value[v]
+            for a, c in edges[v]:
+                free[a] += c
+                ones[a] -= b * c
+            value[v] = -1
+
+    count = 0
+    stack = []  # (trail mark, variable) of decisions whose value-one branch is pending
+    ok = True
+    while True:
+        if ok:
+            unfilled = [(f, a) for a, f in enumerate(free) if f]
+            if unfilled:
+                v = next(u for u in members[min(unfilled)[1]] if value[u] < 0)
+                stack.append((len(trail), v))
+                ok = propagate(v, 0)
+                continue
+            count += 1
+        if not stack:
+            break
+        mark, v = stack.pop()
+        undo(mark)
+        ok = propagate(v, 1)
     return count
 
 

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from occuthresh import cli, instances
+from occuthresh import cli, instances, occupancy
 from occuthresh.errors import CertificateError
 from occuthresh.numerics import Channel, Pmf
 from occuthresh.sdpi import format_channel
@@ -200,6 +200,18 @@ class TestSampleAndCount:
         bad = tmp_path / "bad.cfg"
         bad.write_text("nonsense\n")
         assert run(["count", "--in", str(bad)]) == 2
+
+    def test_count_past_state_budget_exits_2(self, tmp_path, monkeypatch, capsys):
+        cfg_path = tmp_path / "instance.cfg"
+        assert run(["sample", "--k", "4", "--d", "2", "--n", "24", "--seed", "3",
+                    "--out", str(cfg_path)]) == 0
+        assert run(["count", "--in", str(cfg_path)]) == 0
+        monkeypatch.setattr(occupancy, "_FRONTIER_STATES", 10)
+        capsys.readouterr()
+        assert run(["count", "--in", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: exact counting at n=24 reached ")
+        assert err.rstrip().endswith("frontier states, over the limit of 10")
 
 
 class TestSdpiSubcommand:

@@ -19,7 +19,11 @@ from occuthresh.occupancy import (
     overlap,
 )
 
-from tests.oracles import count_solutions_bruteforce, solutions_bruteforce
+from tests.oracles import (
+    count_solutions_bruteforce,
+    count_solutions_search_reference,
+    solutions_bruteforce,
+)
 
 
 def identity_config() -> Configuration:
@@ -52,6 +56,29 @@ D_EQUALS_K_FAMILIES = [
     (8, 4, 4, 2),
     (10, 5, 5, 2),
 ]
+
+
+# Families for the frontier DP against the counting search it replaced,
+# at n = 16 and 24: r = 1..k-1, d = k (repeated memberships), and
+# k = 4, d = 8, whose frontier needs more than 63 bits of state at n = 24.
+SEARCH_FAMILIES = [
+    (16, 2, 4, 2),
+    (24, 2, 4, 2),
+    (24, 3, 4, 2),
+    (16, 3, 4, 1),
+    (24, 3, 4, 3),
+    (24, 3, 6, 2),
+    (24, 2, 6, 3),
+    (16, 4, 4, 2),
+    (24, 3, 3, 1),
+    (24, 2, 8, 4),
+    (24, 8, 4, 2),
+]
+
+
+def state_digits(cfg: Configuration) -> int:
+    """Most open-constraint digits a frontier state of cfg holds."""
+    return occupancy._frontier_steps(cfg.params, *occupancy._incidence(cfg))[1]
 
 
 def max_multiplicity(cfg: Configuration) -> int:
@@ -160,6 +187,49 @@ class TestCountSolutions:
             swapped = cfg.wiring.copy()
             swapped[[var * p.d, var * p.d + 1]] = swapped[[var * p.d + 1, var * p.d]]
             assert count_solutions(Configuration(p, swapped)) == z
+
+
+class TestFrontierCount:
+    def test_matches_search_reference(self):
+        repeated = solvable = wide = 0
+        for i, (n, d, k, r) in enumerate(SEARCH_FAMILIES):
+            for t in range(4):
+                cfg = sample_configuration(Params(n=n, d=d, k=k, r=r), child_seed(211 + i, t))
+                z = count_solutions(cfg)
+                assert z == count_solutions_search_reference(cfg), (n, d, k, r, t)
+                repeated += max_multiplicity(cfg) >= 2
+                solvable += z > 0
+                wide += (r + 1) ** state_digits(cfg) >= 2**63
+        assert repeated >= 8 and solvable >= 20 and wide >= 1
+
+    def test_identity_wirings_match_search_reference(self):
+        for n, d, k, r in SEARCH_FAMILIES:
+            cfg = Configuration(Params(n=n, d=d, k=k, r=r), np.arange(n * d))
+            assert count_solutions(cfg) == count_solutions_search_reference(cfg)
+
+    def test_two_cycles_count_two_to_the_seventy(self):
+        # 70 pairs of variables, each pair wired into its own two
+        # constraints: x_u + x_v = 1 twice, so 2 solutions per pair
+        n = 140
+        wiring = np.array([[4 * i, 4 * i + 2, 4 * i + 1, 4 * i + 3] for i in range(n // 2)])
+        cfg = Configuration(Params(n=n, d=2, k=2, r=1), wiring.ravel())
+        assert count_solutions(cfg, cap=n) == 2**70
+
+    def test_bipartite_two_colourings_on_wide_states(self):
+        # k = 2, r = 1 asks x_u + x_v = 1 across every constraint: a
+        # 2-colouring, 2 per component of a bipartite graph.  Three random
+        # matchings between halves of 200 variables need more than 63
+        # bits of state, so states and counts are Python integers.
+        n, half = 200, 100
+        rng = np.random.default_rng(5)
+        wiring = np.empty((n, 3), dtype=np.int64)
+        for j in range(3):
+            match = rng.permutation(half)
+            for a, (u, v) in enumerate(zip(range(half), half + match)):
+                wiring[u, j], wiring[v, j] = 2 * (j * half + a), 2 * (j * half + a) + 1
+        cfg = Configuration(Params(n=n, d=3, k=2, r=1), wiring.ravel())
+        assert 2 ** state_digits(cfg) >= 2**63
+        assert count_solutions(cfg, cap=n) == count_solutions_search_reference(cfg) == 2
 
 
 class TestEarlyExit:
