@@ -98,7 +98,7 @@ _NOT_PARAMS = ("subcommand", "seed", "threads", "out")
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="occuthresh",
-        description="Random regular 2-in-k occupation problems: thresholds, moments, "
+        description="Random regular r-in-k occupation problems: thresholds, moments, "
         "cycle statistics, and KL contraction coefficients.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)

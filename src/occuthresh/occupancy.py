@@ -11,7 +11,13 @@ its free variables to 0 when ``ones == r`` and to 1 when
 ``ones + free == r``, and otherwise branches on a free variable of the
 first constraint with the fewest free f-edges.  Assignments are undone
 through a trail, the search keeps an explicit stack, and it stops at
-the first solution.
+the first solution.  At k = 2r the complement of a solution is a
+solution on the same wiring (each tally r becomes k - r = r), so the
+first decision, made with nothing assigned, skips its 1-branch: any
+solution setting that variable to 1 has a complement setting it to 0,
+found in the 0-branch.  This halves the refutation of an unsatisfiable
+instance and loses no satisfiable one (symmetry breaking: Crawford,
+Ginsberg, Luks & Roy, KR 1996).
 
 Counting is a frontier dynamic program.  Variables are taken in
 breadth-first order over constraints; a state holds the ones-tallies of
@@ -29,7 +35,6 @@ components, so merging equal states pays where component caching
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,11 +60,17 @@ def ones_quota(params: Params) -> int | None:
 
 
 def is_solution(cfg: Configuration, x) -> bool:
-    """True iff every constraint has exactly r one-valued f-edges under x."""
+    """True iff every constraint has exactly r one-valued f-edges under x.
+
+    ``x`` must hold n entries, each 0 or 1 (booleans too); any other
+    length or entry raises ContractViolation.
+    """
     p = cfg.params
     x = np.asarray(x)
     if x.shape != (p.n,):
         raise ContractViolation(f"assignment must have length {p.n}, got shape {x.shape}")
+    if not np.all((x == 0) | (x == 1)):
+        raise ContractViolation("assignment entries must be 0 or 1")
     tallies = x[cfg.constraint_members()].sum(axis=1)
     return bool(np.all(tallies == p.r))
 
@@ -68,13 +79,22 @@ def _incidence(cfg: Configuration) -> tuple[list, list]:
     """(constraint, multiplicity) pairs per variable; sorted distinct variables per constraint."""
     p = cfg.params
     con_of_slot = (cfg.wiring // p.k).tolist()
-    edges = [list(Counter(con_of_slot[v * p.d:(v + 1) * p.d]).items()) for v in range(p.n)]
+    edges = []
+    for v in range(p.n):
+        tally = {}  # in order of first appearance
+        for a in con_of_slot[v * p.d:(v + 1) * p.d]:
+            tally[a] = tally.get(a, 0) + 1
+        edges.append(list(tally.items()))
     members = [sorted(set(row)) for row in cfg.constraint_members().tolist()]
     return edges, members
 
 
 def _search(cfg: Configuration) -> bool:
-    """True iff cfg has a solution, by the propagation search of the module docstring."""
+    """True iff cfg has a solution, by the propagation search of the module docstring.
+
+    At k = 2r only the 0-branch of the first decision is searched; the
+    complement of any solution in its 1-branch lies in its 0-branch.
+    """
     p = cfg.params
     if ones_quota(p) is None:
         return False
@@ -136,7 +156,10 @@ def _search(cfg: Configuration) -> bool:
             for v in members[a]:
                 if value[v] < 0:
                     break
-            stack.append((len(trail), v))
+            # at k = 2r the first decision (empty trail) keeps only its
+            # 0-branch, which holds the complement of any solution with v = 1
+            if trail or 2 * r != k:
+                stack.append((len(trail), v))
             ok = propagate(v, 0)
             continue
         if not stack:
@@ -280,7 +303,12 @@ def count_solutions(cfg: Configuration, cap: int = ENUMERATION_CAP) -> int:
 
 
 def has_solution(cfg: Configuration, cap: int = ENUMERATION_CAP) -> bool:
-    """Early-exit satisfiability decision; agrees with count_solutions > 0."""
+    """Early-exit satisfiability decision; agrees with count_solutions > 0.
+
+    At k = 2r the search skips the 1-branch of its first decision, which
+    mirrors the 0-branch by complement symmetry, so an unsatisfiable
+    instance costs about half the refutation tree.
+    """
     _check_cap(cfg.params.n, cap)
     return _search(cfg)
 

@@ -7,7 +7,6 @@ output is a function of the seeds alone - never of the worker count.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 
 from .errors import ParameterError
@@ -41,6 +40,8 @@ def parallel_map(fn, items: list, threads: int) -> list:
     threads = min(threads, len(items))
     if threads <= 1:
         return [fn(item) for item in items]
+    import multiprocessing  # here, so a serial run never imports it
+
     chunk = max(1, len(items) // (threads * 8))
     with multiprocessing.Pool(processes=threads) as pool:
         return pool.map(fn, items, chunksize=chunk)

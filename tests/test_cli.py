@@ -447,3 +447,9 @@ class TestErrorContract:
         code = "import sys, occuthresh.cli; sys.exit('scipy' in sys.modules)"
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
         assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+    def test_import_leaves_multiprocessing_out(self):
+        """Only parallel_map with more than one worker imports multiprocessing."""
+        code = "import sys, occuthresh.cli; sys.exit('multiprocessing' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -1,12 +1,13 @@
 """Cycle censuses and the Poisson-limit constants."""
 
 import math
+import multiprocessing
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from occuthresh import cycles, instances, parallel
+from occuthresh import cycles, instances
 from occuthresh.errors import CapacityError, ContractViolation, ParameterError
 from occuthresh.instances import (
     Configuration,
@@ -256,7 +257,7 @@ class TestCensusSampling:
                 return [fn(item) for item in items]
 
         want = census_samples(k=4, d=3, n=400, samples=2, seed=1, threads=1)
-        monkeypatch.setattr(parallel.multiprocessing, "Pool", StubPool)
+        monkeypatch.setattr(multiprocessing, "Pool", StubPool)
         got = census_samples(k=4, d=3, n=400, samples=2, seed=1, threads=8)
         assert started == [2]
         assert [c.counts for c in got] == [c.counts for c in want]

@@ -120,6 +120,16 @@ class TestIsSolution:
         with pytest.raises(ContractViolation):
             is_solution(identity_config(), np.array([1, 0, 1]))
 
+    @pytest.mark.parametrize("entry", [0.5, 2, -1, np.nan])
+    def test_non_binary_entries_rejected(self, entry):
+        # all-0.5 gives every constraint of this wiring the tally 4 * 0.5 = r
+        cfg = sample_configuration(Params(n=8, d=3, k=4, r=2), seed=3)
+        with pytest.raises(ContractViolation):
+            is_solution(cfg, np.full(8, entry))
+
+    def test_bool_solution_accepted(self):
+        assert is_solution(identity_config(), np.array([True, False, True, False]))
+
     def test_multiplicity_counted(self):
         # Identity wiring: constraint 0 sees variables 0 and 1 twice each,
         # so a single one-valued variable contributes two one-edges.
@@ -250,6 +260,35 @@ class TestEarlyExit:
             assert has_solution(cfg) == positive
             hits += positive
         assert 0 < hits < 60
+
+    @pytest.mark.parametrize(
+        "n,d,k,r",
+        [(16, 2, 2, 1), (32, 2, 2, 1), (16, 3, 4, 2), (32, 3, 4, 2), (12, 4, 6, 3), (24, 4, 6, 3)],
+    )
+    def test_complement_cut_at_k_equal_2r(self, n, d, k, r):
+        """At k = 2r the search drops the first decision's 1-branch and still decides right."""
+        hits = 0
+        for t in range(40):
+            cfg = sample_configuration(Params(n=n, d=d, k=k, r=r), child_seed(2727, t))
+            positive = count_solutions_search_reference(cfg) > 0
+            assert has_solution(cfg) == positive
+            hits += positive
+        assert 0 < hits < 40
+
+    def test_no_complement_cut_when_k_is_not_2r(self):
+        """1-in-4 has no complement symmetry: the first decision's 1-branch is needed.
+
+        On 44 of these wirings every solution sets the first decision's
+        variable, the least member of constraint 0, to 1.
+        """
+        needs_one_branch = 0
+        for t in range(300):
+            cfg = sample_configuration(Params(n=8, d=3, k=4, r=1), child_seed(5, t))
+            sols = solutions_bruteforce(cfg)
+            assert has_solution(cfg) == bool(sols)
+            v = min(cfg.constraint_members()[0])
+            needs_one_branch += bool(sols) and all(x[v] == 1 for x in sols)
+        assert needs_one_branch == 44
 
 
 class TestOverlap:
