@@ -32,7 +32,6 @@ from .instances import (
     serialize,
 )
 from .occupancy import (
-    ENUMERATION_CAP,
     OverlapProfile,
     SatProbRow,
     count_solutions,

@@ -40,7 +40,7 @@ from .moments import (
     second_moment_exact_ratio,
     threshold_dstar,
 )
-from .occupancy import ENUMERATION_CAP, count_solutions, estimate_sat_probability
+from .occupancy import count_solutions, estimate_sat_probability
 from .parallel import thread_count
 from .cycles import census_samples, mu_l, poisson_gof
 from .sdpi import (
@@ -78,7 +78,6 @@ _FLAGS = {
     "--l": dict(type=int, default=1),
     "--r": dict(type=int, default=2),
     "--exact": dict(action="store_true", help="include exact finite-n values"),
-    "--cap": dict(type=int, default=ENUMERATION_CAP),
     "--threads": dict(type=int),
     "--channel": dict(required=True, help="channel/pmf document path"),
     "--grid-depth": dict(type=int, default=200),
@@ -111,7 +110,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     command("threshold", "satisfiability threshold degree for a given k", "k")
     command("satprob", "Monte Carlo satisfiability fractions over n",
-            "k d n trials seed r cap threads",
+            "k d n trials seed r threads",
             n=dict(type=_n_list, required=True, help="comma-separated n values"))
     command("cycles", "short-cycle census statistics vs Poisson limits",
             "k d n samples seed l-max threads")
@@ -122,7 +121,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "k grid-depth")
     command("sample", "sample a configuration to a file",
             "k d n seed r simple max-attempts")
-    command("count", "exact solution count of a configuration file", "in cap")
+    command("count", "exact solution count of a configuration file", "in")
     return parser
 
 
@@ -177,7 +176,6 @@ def _run_satprob(args) -> list[str]:
         seed=args.seed,
         r=args.r,
         threads=args.threads,
-        cap=args.cap,
     )
     return _csv("n,trials,sat_count,sat_fraction,ci_low,ci_high,seed", rows)
 
@@ -261,7 +259,7 @@ def _run_sample(args) -> list[str]:
 
 def _run_count(args) -> list[str]:
     cfg = deserialize(_read_input(args.infile))
-    return format_fields([("solutions", count_solutions(cfg, cap=args.cap))])
+    return format_fields([("solutions", count_solutions(cfg))])
 
 
 def main(argv=None) -> int:

@@ -36,7 +36,7 @@ class BracketError(OccuthreshError, ValueError):
 
 
 class CapacityError(OccuthreshError, RuntimeError):
-    """Exact enumeration was requested beyond the configured cap."""
+    """An exact computation passed, or would pass, its internal work or memory budget."""
 
 
 class RetryLimitError(OccuthreshError, RuntimeError):

@@ -215,11 +215,15 @@ class Configuration:
     wiring: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.wiring, dtype=np.int64)
-        object.__setattr__(self, "wiring", w)
+        w = np.asarray(self.wiring)
         slots = self.params.n_slots
         if w.shape != (slots,):
             raise ParameterError(f"wiring must have length {slots}, got shape {w.shape}")
+        if w.dtype.kind not in "iu":  # integer arrays, as the sampler's rows, pass unchecked
+            if w.dtype.kind != "f" or not np.all((w == np.trunc(w)) & (w >= 0) & (w < slots)):
+                raise ParameterError(f"wiring entries must be integers in [0, {slots})")
+        w = w.astype(np.int64, copy=False)
+        object.__setattr__(self, "wiring", w)
         _check_permutations(w[None, :])
 
     def inverse_wiring(self) -> np.ndarray:

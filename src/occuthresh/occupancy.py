@@ -30,6 +30,10 @@ to come, so a constraint closes with its digit at r, and the digit is
 cleared for reuse.  The residual formula rarely splits into
 components, so merging equal states pays where component caching
 (Thurley, SAT 2006) does not.
+
+Neither is limited by n: each raises CapacityError past a budget on its
+own work, the search past ``_SEARCH_WORK // m`` nodes and the DP past
+``_FRONTIER_STATES`` states over the 64-bit words a state needs.
 """
 
 from __future__ import annotations
@@ -42,8 +46,6 @@ import numpy as np
 from .errors import CapacityError, ContractViolation, ParameterError
 from .instances import Configuration, Params, _sample_block, _seed_blocks, child_seed
 from .parallel import parallel_map
-
-ENUMERATION_CAP = 32
 
 _WILSON_Z = 1.959963984540054  # 97.5% normal quantile
 
@@ -89,11 +91,21 @@ def _incidence(cfg: Configuration) -> tuple[list, list]:
     return edges, members
 
 
-def _search(cfg: Configuration) -> bool:
+# Search nodes times constraints one decision may take: a node's
+# branching scan runs over all m constraints, so at k = 4, d = 3 a node
+# took 17 us at n = 128 and 480 us at n = 20000, and _SEARCH_WORK // m
+# nodes take about 17 s and 3 s there.  Seeded decisions took at most
+# 11,900 nodes at k = 4, d = 3, n = 96 and 112,841 at k = 6, d = 4, n = 96.
+_SEARCH_WORK = 10**8
+
+
+def has_solution(cfg: Configuration) -> bool:
     """True iff cfg has a solution, by the propagation search of the module docstring.
 
-    At k = 2r only the 0-branch of the first decision is searched; the
-    complement of any solution in its 1-branch lies in its 0-branch.
+    Agrees with ``count_solutions(cfg) > 0``.  At k = 2r only the
+    0-branch of the first decision is searched; the complement of any
+    solution in its 1-branch lies in its 0-branch.  Past
+    ``_SEARCH_WORK // m`` nodes it raises CapacityError.
     """
     p = cfg.params
     if ones_quota(p) is None:
@@ -144,7 +156,8 @@ def _search(cfg: Configuration) -> bool:
 
     stack = []  # (trail mark, variable) of decisions whose value-one branch is pending
     ok = True
-    while True:
+    nodes = _SEARCH_WORK // p.m
+    for _ in range(nodes):  # one node per pass: a decision or a value-one branch
         if ok:
             # branch in the first constraint with the fewest free f-edges
             for f in range(1, k + 1):
@@ -167,14 +180,21 @@ def _search(cfg: Configuration) -> bool:
         mark, v = stack.pop()
         undo(mark)
         ok = propagate(v, 1)
+    raise CapacityError(
+        f"deciding at n={p.n} passed {nodes} search nodes, "
+        f"the limit of {_SEARCH_WORK} // m at m={p.m}"
+    )
 
 
 # Most distinct frontier states the counting DP keeps after any one
-# variable.  Seeded sweeps of 240 families (k <= 8, d <= 6, every r,
-# n in {16, 24, 32}) peaked at 8.9e3 and 2.1e4 states, at least 480
-# times below; k = 6, d = 3 reached up to 7.2e6 over six seeds at
-# n = 72.  A merge holds up to twice the states as candidates, about
-# 62 bytes each, so the DP stays under about 1.3 GB.
+# variable, divided by the 64-bit words a state needs (1 in int64).
+# Seeded sweeps of 240 families (k <= 8, d <= 6, every r, n in
+# {16, 24, 32}) peaked at 2.1e4 states; k = 6, d = 3 reached up to
+# 7.2e6 over six seeds at n = 72.  A merge holds up to twice the states
+# as candidates, about 62 bytes each in int64, so the DP stays under
+# about 1.3 GB.  A Python-integer state costs more; at k = 4, d = 3
+# refusals peaked at 665 and 741 MB (n = 120 and 160, 2 words), 565 MB
+# (n = 200, 3 words) and 63 MB (n = 4000, 43 words).
 _FRONTIER_STATES = 10**7
 
 
@@ -249,29 +269,23 @@ def _frontier_steps(p: Params, edges: list, members: list) -> tuple[list, int]:
     return steps, width
 
 
-def _check_cap(n: int, cap: int):
-    if n > cap:
-        raise CapacityError(
-            f"exact enumeration capped at n={cap} (got n={n}); "
-            "use Monte Carlo estimation for larger instances"
-        )
-
-
-def count_solutions(cfg: Configuration, cap: int = ENUMERATION_CAP) -> int:
+def count_solutions(cfg: Configuration) -> int:
     """Exact solution count by the frontier dynamic program of the module docstring.
 
     0 immediately when the ones quota is fractional; past
-    ``_FRONTIER_STATES`` distinct states it raises CapacityError.
+    ``_FRONTIER_STATES`` distinct states, divided by the 64-bit words a
+    state needs, it raises CapacityError.
     """
     p = cfg.params
-    _check_cap(p.n, cap)
     if ones_quota(p) is None:
         return 0
     base = p.r + 1
     steps, width = _frontier_steps(p, *_incidence(cfg))
+    words = 1 + (base**width).bit_length() // 64  # 64-bit words a state needs
     # fixed-width integers while they cannot overflow, Python integers past that
-    states = np.zeros(1, dtype=np.int64 if base**width < 2**63 else object)
+    states = np.zeros(1, dtype=np.int64 if words == 1 else object)
     counts = np.ones(1, dtype=np.int64 if p.n < 63 else object)
+    limit = _FRONTIER_STATES // words
     for checks, clear, shift in steps:
         fits = 3
         for place, table in checks:
@@ -294,23 +308,12 @@ def count_solutions(cfg: Configuration, cap: int = ENUMERATION_CAP) -> int:
             states, counts = states[order], counts[order]
             starts = np.flatnonzero(np.concatenate(([True], states[1:] != states[:-1])))
             states, counts = states[starts], np.add.reduceat(counts, starts)
-            if len(states) > _FRONTIER_STATES:
+            if len(states) > limit:
                 raise CapacityError(
                     f"exact counting at n={p.n} reached {len(states)} frontier states, "
-                    f"over the limit of {_FRONTIER_STATES}"
+                    f"over the limit of {limit}"
                 )
     return int(counts.sum())
-
-
-def has_solution(cfg: Configuration, cap: int = ENUMERATION_CAP) -> bool:
-    """Early-exit satisfiability decision; agrees with count_solutions > 0.
-
-    At k = 2r the search skips the 1-branch of its first decision, which
-    mirrors the 0-branch by complement symmetry, so an unsatisfiable
-    instance costs about half the refutation tree.
-    """
-    _check_cap(cfg.params.n, cap)
-    return _search(cfg)
 
 
 @dataclass(frozen=True)
@@ -374,8 +377,8 @@ def _wilson_interval(successes: int, trials: int) -> tuple[float, float]:
 
 
 def _sat_block(args) -> int:
-    _, params, seed, block, cap = args
-    return sum(bool(has_solution(Configuration(params, w), cap=cap))
+    _, params, seed, block = args
+    return sum(bool(has_solution(Configuration(params, w)))
                for w in _sample_block(params, seed, block))
 
 
@@ -387,7 +390,6 @@ def estimate_sat_probability(
     seed: int,
     r: int = 2,
     threads: int = 1,
-    cap: int = ENUMERATION_CAP,
 ) -> list[SatProbRow]:
     """Fraction of satisfiable instances per n, with Wilson 95% intervals.
 
@@ -399,14 +401,11 @@ def estimate_sat_probability(
     """
     if trials < 1:
         raise ParameterError(f"need trials >= 1, got {trials}")
-    families = []  # every n validated up front
-    for n in n_list:
-        _check_cap(n, cap)
-        families.append(Params(n=n, d=d, k=k, r=r))
+    families = [Params(n=n, d=d, k=k, r=r) for n in n_list]  # every n validated up front
     # blocks of child seeds of child_seed(seed, i) for the i-th n, all in
     # one map, so one worker pool serves all of n_list
     tasks = [
-        (i, params, child_seed(seed, i), block, cap)
+        (i, params, child_seed(seed, i), block)
         for i, params in enumerate(families)
         for block in _seed_blocks(params, trials, threads)
     ]

@@ -33,11 +33,11 @@ def thread_count(requested: int | None = None) -> int:
 def parallel_map(fn, items: list, threads: int) -> list:
     """Map ``fn`` over ``items`` preserving order; serial when threads <= 1.
 
-    Starts at most one worker per item.  ``fn`` must be a module-level
-    function (it is pickled to worker processes).
+    Starts at most one worker per item and per CPU.  ``fn`` must be a
+    module-level function (it is pickled to worker processes).
     """
     items = list(items)
-    threads = min(threads, len(items))
+    threads = min(threads, len(items), os.cpu_count() or 1)
     if threads <= 1:
         return [fn(item) for item in items]
     import multiprocessing  # here, so a serial run never imports it

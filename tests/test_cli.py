@@ -77,10 +77,19 @@ class TestSatprob:
         assert run(args + ["--threads", "3", "--out", str(b)]) == 0
         assert data_section(a) == data_section(b)
 
-    def test_capacity_error_exits_2(self, capsys):
-        assert run(["satprob", "--k", "4", "--d", "2", "--n", "80", "--trials", "5",
-                    "--seed", "1"]) == 2
-        assert "error" in capsys.readouterr().err
+    def test_capacity_error_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setattr(occupancy, "_SEARCH_WORK", 18 * 5)  # 5 nodes at n = 24
+        assert run(["satprob", "--k", "4", "--d", "3", "--n", "24", "--trials", "10",
+                    "--seed", "1", "--threads", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: deciding at n=24 passed 5 search nodes")
+        assert err.count("\n") == 1
+
+    def test_decides_past_n32(self, tmp_path):
+        out = tmp_path / "satprob.csv"
+        assert run(["satprob", "--k", "4", "--d", "3", "--n", "96", "--trials", "4",
+                    "--seed", "7", "--threads", "1", "--out", str(out)]) == 0
+        assert data_section(out)[1].startswith("96,4,")
 
 
 class TestCycles:
@@ -399,7 +408,11 @@ class TestErrorContract:
     @pytest.mark.parametrize("argv", [["conjecture", "--k", "5", "--refine-tol", "1e-8"],
                                       ["sdpi", "--channel", "channel.txt", "--refine-tol", "1e-8"],
                                       ["cycles", "--k", "4", "--d", "3", "--n", "40", "--samples", "3",
-                                       "--seed", "1", "--r", "2"]], ids=["conjecture", "sdpi", "cycles"])
+                                       "--seed", "1", "--r", "2"],
+                                      ["satprob", "--k", "4", "--d", "3", "--n", "8", "--trials", "3",
+                                       "--seed", "1", "--cap", "32"],
+                                      ["count", "--in", "instance.cfg", "--cap", "32"]],
+                             ids=["conjecture", "sdpi", "cycles", "satprob", "count"])
     def test_removed_flag_exits_2_at_parse_time(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             run(argv)

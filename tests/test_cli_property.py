@@ -4,8 +4,9 @@ Each case starts from an argv the subcommand accepts and changes up to
 two of its flags: to a value past the accepted range (zero, negatives,
 seeds outside [0, 2^64), nan and inf tolerances, empty ``--n`` lists),
 to a malformed string, or by leaving the flag out.  Sizes stay small so
-every case runs in milliseconds; a case past 30 s fails and names its
-argv.  argparse refuses malformed argv with ``SystemExit(2)``.
+every case runs in milliseconds, though ``satprob`` and ``count`` take
+instances past n = 32; a case past 30 s fails and names its argv.
+argparse refuses malformed argv with ``SystemExit(2)``.
 
 Each table must name exactly the flags its subcommand declares, and its
 accepted argv must exit 0: a table naming a flag the parser no longer
@@ -42,19 +43,19 @@ def past(values):
 KS, DS, RS = past(ints(-2, 12)), past(ints(-1, 5)), past(ints(-1, 4))
 SEEDS = past(st.sampled_from([-1, 0, 2**64 - 1, 2**64, -(2**64), 10**30]).map(str))
 TOLS = past(st.sampled_from(["nan", "inf", "-inf", "0", "-1", "1e-300", "5e-324", "0.5", "1e300"]))
-N_LISTS = past(st.lists(st.integers(-2, 24), max_size=3).map(lambda ns: ",".join(map(str, ns))))
+N_LISTS = past(st.lists(st.integers(-2, 48), max_size=3).map(lambda ns: ",".join(map(str, ns))))
 THREADS = past(ints(-2, 1))
 
 
-def commands(channel: str, cfg: str, missing: str) -> dict:
+def commands(channel: str, cfg: str, wide_cfg: str, missing: str) -> dict:
     """subcommand -> {flag: (accepted value, changed values)}."""
-    paths = past(st.sampled_from([channel, cfg, missing]))
+    paths = past(st.sampled_from([channel, cfg, wide_cfg, missing]))
     return {
         "threshold": {"--k": ("4", past(ints(-2, 10**12)))},
         "satprob": {
-            "--k": ("4", KS), "--d": ("3", DS), "--n": ("8,12", N_LISTS),
+            "--k": ("4", KS), "--d": ("3", DS), "--n": ("8,40", N_LISTS),
             "--trials": ("3", past(ints(-1, 3))), "--seed": ("7", SEEDS), "--r": ("2", RS),
-            "--cap": ("32", past(ints(-1, 40))), "--threads": ("1", THREADS),
+            "--threads": ("1", THREADS),
         },
         "cycles": {
             "--k": ("4", KS), "--d": ("3", DS), "--n": ("40", past(ints(-2, 60))),
@@ -75,18 +76,20 @@ def commands(channel: str, cfg: str, missing: str) -> dict:
             "--r": ("2", RS), "--simple": (FLAG, st.just(OMIT)),
             "--max-attempts": ("50", past(ints(-1, 5))),
         },
-        "count": {"--in": (cfg, paths), "--cap": ("32", past(ints(-1, 40)))},
+        "count": {"--in": (cfg, paths)},
     }
 
 
 @pytest.fixture(scope="module")
 def flags(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
-    channel, cfg = root / "channel.txt", root / "instance.cfg"
+    channel, cfg, wide_cfg = root / "channel.txt", root / "instance.cfg", root / "wide.cfg"
     channel.write_text("n_in = 2\nn_out = 2\nmatrix = [0.9, 0.1, 0.2, 0.8]\np_star = [0.5, 0.5]\n")
     assert cli.main(["sample", "--k", "4", "--d", "2", "--n", "8", "--seed", "5",
                      "--out", str(cfg)]) == 0
-    return commands(str(channel), str(cfg), str(root / "missing.txt"))
+    assert cli.main(["sample", "--k", "4", "--d", "3", "--n", "48", "--seed", "5",
+                     "--out", str(wide_cfg)]) == 0
+    return commands(str(channel), str(cfg), str(wide_cfg), str(root / "missing.txt"))
 
 
 def run(argv) -> tuple[int, str]:

@@ -2,6 +2,7 @@
 
 import math
 import multiprocessing
+import os
 import tracemalloc
 
 import numpy as np
@@ -27,6 +28,32 @@ from occuthresh.cycles import (
     poisson_gof,
 )
 from tests.oracles import census_walk_reference
+
+
+def stub_pool(monkeypatch, cpus: int) -> list:
+    """Report ``cpus`` CPUs and swap in a pool that starts no process.
+
+    Returns the list of worker counts the pools were asked for; their
+    ``map`` runs in this process.
+    """
+    started = []
+
+    class StubPool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize):
+            return [fn(item) for item in items]
+
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(multiprocessing, "Pool", StubPool)
+    return started
 
 
 def identity_config() -> Configuration:
@@ -240,26 +267,19 @@ class TestCensusSampling:
             assert census.counts == want, i
 
     def test_no_more_workers_than_blocks(self, monkeypatch):
-        """Two blocks at eight threads start two workers (a stub pool that starts none)."""
-        started = []
-
-        class StubPool:
-            def __init__(self, processes):
-                started.append(processes)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items, chunksize):
-                return [fn(item) for item in items]
-
+        """Two blocks at eight threads on eight CPUs start two workers."""
         want = census_samples(k=4, d=3, n=400, samples=2, seed=1, threads=1)
-        monkeypatch.setattr(multiprocessing, "Pool", StubPool)
+        started = stub_pool(monkeypatch, cpus=8)
         got = census_samples(k=4, d=3, n=400, samples=2, seed=1, threads=8)
         assert started == [2]
+        assert [c.counts for c in got] == [c.counts for c in want]
+
+    def test_no_more_workers_than_cpus(self, monkeypatch):
+        """Sixteen one-sample blocks at 100000 threads on three CPUs start three workers."""
+        want = census_samples(k=4, d=3, n=400, samples=16, seed=1, threads=1)
+        started = stub_pool(monkeypatch, cpus=3)
+        got = census_samples(k=4, d=3, n=400, samples=16, seed=1, threads=100000)
+        assert started == [3]
         assert [c.counts for c in got] == [c.counts for c in want]
 
     def test_sample_count_validated(self):

@@ -178,7 +178,6 @@ MANIFEST_SATPROB = [
     "# manifest: version = 0.1.0",
     "# manifest: seed = 11",
     "# manifest: threads = 1",
-    "# manifest: cap = 32",
     "# manifest: d = 3",
     "# manifest: k = 4",
     "# manifest: n = [8, 16, 24]",

@@ -170,6 +170,25 @@ class TestCheckPermutations:
             instances._check_permutations(wirings)
 
 
+class TestConfigurationEntries:
+    @pytest.mark.parametrize(
+        "wiring",
+        [[0.9, 1.5, 2.2, 3.99], np.array([0.9, 1.5, 2.2, 3.99]), [0, 1, 2, np.nan],
+         [0, 1, 2, np.inf], [True, False, True, False]],
+    )
+    def test_non_integer_entries_rejected(self, wiring):
+        with pytest.raises(ParameterError, match=r"^wiring entries must be integers in \[0, 4\)$"):
+            Configuration(Params(n=2, d=2, k=2, r=1), wiring)
+
+    def test_whole_float_entries_accepted(self):
+        cfg = Configuration(Params(n=2, d=2, k=2, r=1), np.array([3.0, 2.0, 1.0, 0.0]))
+        assert cfg.wiring.dtype == np.int64 and cfg.wiring.tolist() == [3, 2, 1, 0]
+
+    def test_int64_wiring_kept_as_is(self):
+        wiring = np.array([3, 2, 1, 0], dtype=np.int64)
+        assert Configuration(Params(n=2, d=2, k=2, r=1), wiring).wiring is wiring
+
+
 class TestSampling:
     def test_shape_is_permutation(self):
         cfg = sample_configuration(Params(n=4, d=2, k=4, r=2), seed=5)

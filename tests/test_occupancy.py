@@ -173,9 +173,16 @@ class TestCountSolutions:
     def test_ensemble_mean(self, exhaustive):
         assert exhaustive["mean_z"] == Fraction(108, 35)
 
-    def test_capacity_error(self):
+    def test_capacity_error(self, monkeypatch):
+        """Past its state budget, divided by the 64-bit words a state needs, counting raises."""
         cfg = sample_configuration(Params(n=40, d=2, k=4, r=2), seed=1)
-        with pytest.raises(CapacityError):
+        assert 3 ** state_digits(cfg) < 2**63  # int64 states: one word
+        monkeypatch.setattr(occupancy, "_FRONTIER_STATES", 12)
+        with pytest.raises(CapacityError, match=r"^exact counting at n=40 .* over the limit of 12$"):
+            count_solutions(cfg)
+        cfg = sample_configuration(Params(n=120, d=3, k=4, r=2), seed=1)
+        assert 2**64 <= 3 ** state_digits(cfg) < 2**127  # Python-integer states: two words
+        with pytest.raises(CapacityError, match=r"^exact counting at n=120 .* over the limit of 6$"):
             count_solutions(cfg)
 
     def test_relabeling_invariance(self):
@@ -223,7 +230,7 @@ class TestFrontierCount:
         n = 140
         wiring = np.array([[4 * i, 4 * i + 2, 4 * i + 1, 4 * i + 3] for i in range(n // 2)])
         cfg = Configuration(Params(n=n, d=2, k=2, r=1), wiring.ravel())
-        assert count_solutions(cfg, cap=n) == 2**70
+        assert count_solutions(cfg) == 2**70
 
     def test_bipartite_two_colourings_on_wide_states(self):
         # k = 2, r = 1 asks x_u + x_v = 1 across every constraint: a
@@ -239,7 +246,7 @@ class TestFrontierCount:
                 wiring[u, j], wiring[v, j] = 2 * (j * half + a), 2 * (j * half + a) + 1
         cfg = Configuration(Params(n=n, d=3, k=2, r=1), wiring.ravel())
         assert 2 ** state_digits(cfg) >= 2**63
-        assert count_solutions(cfg, cap=n) == count_solutions_search_reference(cfg) == 2
+        assert count_solutions(cfg) == count_solutions_search_reference(cfg) == 2
 
 
 class TestEarlyExit:
@@ -260,6 +267,36 @@ class TestEarlyExit:
             assert has_solution(cfg) == positive
             hits += positive
         assert 0 < hits < 60
+
+    @pytest.mark.parametrize(
+        "k,d,ns",
+        [(4, 3, (36, 40, 44, 48)), (6, 3, (36, 42, 48)), (4, 2, (36, 40, 44, 48))],
+    )
+    def test_agrees_with_count_past_n32(self, k, d, ns):
+        """Deciding and counting reach past n = 32 and agree; k=4, d=3 gives both outcomes."""
+        outcomes = set()
+        for n in ns:
+            for t in range(10):
+                cfg = sample_configuration(Params(n=n, d=d, k=k, r=2), child_seed(3600 + n, t))
+                positive = count_solutions(cfg) > 0
+                assert has_solution(cfg) == positive, (n, t)
+                outcomes.add(positive)
+        assert outcomes == ({False, True} if (k, d) == (4, 3) else {True})
+
+    def test_node_budget(self, monkeypatch):
+        """The search takes at most _SEARCH_WORK // m nodes and raises past them."""
+        cfg = sample_configuration(Params(n=24, d=3, k=4, r=2), child_seed(29, 0))
+        m, positive = cfg.params.m, count_solutions(cfg) > 0
+        for nodes in range(1, 1000):  # the fewest nodes that decide cfg
+            monkeypatch.setattr(occupancy, "_SEARCH_WORK", nodes * m + m - 1)
+            try:
+                decided = has_solution(cfg)
+            except CapacityError as exc:
+                assert str(exc) == (f"deciding at n=24 passed {nodes} search nodes, "
+                                    f"the limit of {nodes * m + m - 1} // m at m={m}")
+            else:
+                break
+        assert decided == positive and 10 < nodes < 1000
 
     @pytest.mark.parametrize(
         "n,d,k,r",
@@ -332,9 +369,10 @@ class TestSatProbability:
         with pytest.raises(ParameterError):
             estimate_sat_probability(k=4, d=2, n_list=[8], trials=0, seed=1)
 
-    def test_capacity_checked_up_front(self):
-        with pytest.raises(CapacityError):
-            estimate_sat_probability(k=4, d=2, n_list=[8, 80], trials=5, seed=1)
+    def test_capacity_error_past_node_budget(self, monkeypatch):
+        monkeypatch.setattr(occupancy, "_SEARCH_WORK", 18 * 5)  # 5 nodes at m = 18
+        with pytest.raises(CapacityError, match="at n=24 passed 5 search nodes"):
+            estimate_sat_probability(k=4, d=3, n_list=[8, 24], trials=10, seed=1)
 
     def test_row_shape_and_seed(self):
         rows = estimate_sat_probability(k=4, d=2, n_list=[8, 12], trials=10, seed=9)
@@ -353,7 +391,7 @@ class TestSatProbability:
     def test_memory_is_bounded_in_trials(self, monkeypatch):
         # Drawing all 30000 wirings at once, one Configuration each, takes
         # about 22 MiB here; blocks of consecutive trials keep it flat.
-        monkeypatch.setattr(occupancy, "has_solution", lambda cfg, cap: True)
+        monkeypatch.setattr(occupancy, "has_solution", lambda cfg: True)
         estimate_sat_probability(k=4, d=3, n_list=[8], trials=10, seed=7)
         tracemalloc.start()
         try:
