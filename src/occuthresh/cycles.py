@@ -3,17 +3,22 @@
 A 2l-cycle is a closed alternating variable/constraint walk with l
 distinct variables, l distinct constraints, and 2l distinct wiring
 edges; lengths are counted in the factor-graph sense.  The census
-enumerates directed cycles rooted at their smallest variable, so each
+counts directed cycles rooted at their smallest variable, so each
 cycle is found once in each direction, and divides by 2, asserting
-exact divisibility first.  The walk grows as n*d*((k-1)(d-1))^(l-1)
-per sample; past ``_WALK_STEPS`` over all samples it raises
-CapacityError before any sampling.
+exact divisibility first.
 
-The enumeration is breadth-wise: a frontier of partial walks, one numpy
-row each, steps through one constraint and one variable at a time.
-Frontiers are cut into pieces of a fixed number of rows, taken
-depth-first, so the frontier's peak memory depends on that cap and l_max
-but not on n.
+For l_max >= 3 it joins half-walks at their middle variable.  From each
+root, numpy rows hold every half-walk of depth 1 .. ceil(l_max/2): a
+path through t constraints and t variables, all distinct, the variables
+above the root.  A directed 2l-cycle is one ordered pair of half-walks
+of depths ceil(l/2) and floor(l/2) with the same root and last variable
+that share nothing else; pairs are found by sorting both sets on (root,
+last variable).  Roots go in consecutive batches sized so that a batch's
+deepest set, and each chunk of its candidate pairs, holds a fixed number
+of rows, so peak memory depends on that cap and l_max but not on n.  A
+full walk's bound n*d*((k-1)(d-1))^(l_max-1) per sample bounds this
+work loosely from above; past ``_WALK_STEPS`` over all samples it
+raises CapacityError before any sampling.
 
 For l <= 2 a wedge count evaluates the same quantities over blocks of
 configurations: a wedge is a pair of one variable's slots, named by the
@@ -51,13 +56,15 @@ class CycleCensus:
         return self.counts[l - 1]
 
 
-# Largest frontier piece the walk expands at once.  Pieces go depth-first,
-# so the frontier's peak memory is set by this cap and l_max, not by n.
-_FRONTIER_ROWS = 2048
+# Most rows a batch of roots may hold in its deepest half-walk set, and
+# most candidate pairs joined at once.  Roots go in batches that fit, so
+# the walk's peak memory is set by this cap and l_max, not by n.
+_HALF_WALK_ROWS = 1 << 15
 
 # Largest walk bound n*d*((k-1)(d-1))^(l_max-1), summed over samples,
 # censused, the scale of moments._EXACT_TERMS; one sample at k = 4, d = 3,
-# n = 400 reaches l_max = 7.
+# n = 400 reaches l_max = 7.  The half-walk join does far less work than
+# this bound, which is now a loose admission rule.
 _WALK_STEPS = 2 * 10**8
 
 
@@ -74,64 +81,122 @@ def _check_walk_bound(params: Params, l_max: int, samples: int = 1):
         )
 
 
-def _census_walk(params: Params, wiring: np.ndarray, l_max: int) -> tuple:
-    """Cycle counts for l = 1 .. l_max of one wiring, by a breadth-wise walk.
+def _half_walk_step(to_con: np.ndarray, members: np.ndarray, d: int, walks: tuple) -> tuple:
+    """The half-walks one constraint and one variable deeper than ``walks``.
 
-    Each walk starts at a slot of its root variable and goes on only to
-    variables above the root, so a cycle is found from its smallest
-    variable, once in each direction.
+    A half-walk set is ``(root, cons, vars)``: row i runs from root[i]
+    through the constraints cons[0][i], cons[1][i], ... and the variables
+    vars[0][i], vars[1][i], ..., all distinct and the variables above the
+    root, one row per choice of wiring slots.  Distinctness alone keeps a
+    walk from leaving a variable by the slot it arrived by (that slot's
+    constraint is visited) or a constraint by the slot it entered by (that
+    slot's variable is visited).
+    """
+    root, cons, vars_ = walks
+    # Leave the last variable by any slot into an unvisited constraint ...
+    c = to_con[vars_[-1][:, None] * d + np.arange(d)]
+    keep = c != cons[0][:, None]
+    for col in cons[1:]:
+        keep &= c != col[:, None]
+    rows, cols = np.nonzero(keep)
+    c = c[rows, cols]
+    # ... and leave that by any slot to an unvisited variable above the root.
+    v = members[c] // d
+    keep = v > root[rows, None]
+    for col in vars_:
+        keep &= v != col[rows, None]
+    r, j = np.nonzero(keep)
+    parent = rows[r]
+    return (
+        root[parent],
+        [col[parent] for col in cons] + [c[r]],
+        [col[parent] for col in vars_] + [v[r, j]],
+    )
+
+
+def _join_count(a_walks: tuple, a_keyed: tuple, b_walks: tuple, b_keyed: tuple) -> int:
+    """Ordered pairs (A, B) with equal root and last variable that share nothing else.
+
+    ``*_keyed`` is a set's sorted keys root*n + last variable and the
+    order that sorts them, so the candidates of each A are one range of
+    B's, found by ``searchsorted`` with sorted queries.  Candidates are
+    taken in chunks of at most ``_HALF_WALK_ROWS`` pairs, past one A's
+    range.
+    """
+    _, a_cons, a_vars = a_walks
+    _, b_cons, b_vars = b_walks
+    a_keys, a_order = a_keyed
+    b_keys, b_order = b_keyed
+    lo = np.searchsorted(b_keys, a_keys, "left")
+    counts = np.searchsorted(b_keys, a_keys, "right") - lo
+    ends = np.cumsum(counts)
+    total = 0
+    start = 0
+    while start < a_keys.size:
+        base = int(ends[start - 1]) if start else 0
+        stop = a_keys.size
+        if ends[-1] - base > _HALF_WALK_ROWS:
+            stop = max(start + 1, int(np.searchsorted(ends, base + _HALF_WALK_ROWS, "right")))
+        c = counts[start:stop]
+        size = int(ends[stop - 1]) - base
+        if size:
+            ia = np.repeat(a_order[start:stop], c)
+            rank = np.arange(size) - np.repeat(ends[start:stop] - c - base, c)
+            ib = b_order[np.repeat(lo[start:stop], c) + rank]
+            # Every constraint distinct, every variable but the last too.
+            keep = np.ones(size, dtype=bool)
+            for a_cols, b_cols in ((a_cons, b_cons), (a_vars[:-1], b_vars[:-1])):
+                b_vals = [col[ib] for col in b_cols]
+                for col in a_cols:
+                    a_vals = col[ia]
+                    for vals in b_vals:
+                        keep &= a_vals != vals
+            total += int(np.count_nonzero(keep))
+        start = stop
+    return total
+
+
+def _census_walk(params: Params, wiring: np.ndarray, l_max: int) -> tuple:
+    """Cycle counts for l = 1 .. l_max of one wiring, by joining half-walks.
+
+    A directed 2l-cycle rooted at its smallest variable r, l >= 2, is
+    one ordered pair of half-walks from r, A of depth ceil(l/2) and B of
+    depth floor(l/2) (B runs the cycle's second half backwards), that end
+    at the same variable and share no other variable or constraint.
+    Each cycle is found once in each direction.  Roots go in consecutive
+    batches, so a batch's deepest set holds at most ``_HALF_WALK_ROWS``
+    rows.
     """
     p = params
     d, k = p.d, p.k
     to_con = wiring // k
     members = np.argsort(wiring).reshape(p.m, k)  # the inverse permutation
-    offsets = np.arange(d)
+    half = (l_max + 1) // 2
+    per_root = d * (k - 1) * ((k - 1) * (d - 1)) ** (half - 1)  # most half-walks of depth `half`
+    batch = max(1, _HALF_WALK_ROWS // per_root)
     directed = [0] * (l_max + 1)
-
-    def walk(depth: int, seen_vars: np.ndarray, seen_cons: np.ndarray, s_in: np.ndarray):
-        # Row i: a walk from the root seen_vars[i, 0] through the variables
-        # seen_vars[i] and the constraints seen_cons[i], the last of which
-        # it entered by slot s_in[i].  At depth l_max only the root and the
-        # current constraint are kept.
-        if s_in.size > _FRONTIER_ROWS:
-            for lo in range(0, s_in.size, _FRONTIER_ROWS):
-                hi = lo + _FRONTIER_ROWS
-                walk(depth, seen_vars[lo:hi], seen_cons[lo:hi], s_in[lo:hi])
-            return
-        # Leave the current constraint by any slot but the entering one;
-        # a slot of the root closes a 2*depth-cycle.
-        s_out = members[seen_cons[:, -1]]
+    for first in range(0, p.n, batch):
+        # Depth 1: from each slot of a root into its constraint and out by
+        # another slot; a slot of the root closes a 2-cycle.
+        s = np.arange(first * d, min(first + batch, p.n) * d)
+        root = s // d
+        s_out = members[to_con[s]]
         v = s_out // d
-        keep = s_out != s_in[:, None]
-        directed[depth] += int(np.count_nonzero(keep & (v == seen_vars[:, :1])))
-        if depth == l_max:
-            return
-        # Go on to unvisited variables above the root, then into unvisited
-        # constraints through the variable's other slots.
-        keep &= v > seen_vars[:, :1]
-        for j in range(1, seen_vars.shape[1]):
-            keep &= v != seen_vars[:, j : j + 1]
-        rows, cols = np.nonzero(keep)
-        s_out, v, cons = s_out[rows, cols], v[rows, cols], seen_cons[rows]
-        s_next = v[:, None] * d + offsets
-        a_next = to_con[s_next]
-        keep = s_next != s_out[:, None]
-        for j in range(cons.shape[1]):
-            keep &= a_next != cons[:, j : j + 1]
-        r, c = np.nonzero(keep)
-        s_next, a_next = s_next[r, c], a_next[r, c]
-        if depth + 1 == l_max:
-            walk(depth + 1, seen_vars[rows[r], :1], a_next[:, None], s_next)
-        else:
-            walk(
-                depth + 1,
-                np.column_stack([seen_vars[rows[r]], v[r]]),
-                np.column_stack([cons[r], a_next]),
-                s_next,
-            )
-
-    slots = np.arange(p.n_slots)
-    walk(1, (slots // d)[:, None], to_con[:, None], slots)
+        directed[1] += int(np.count_nonzero((s_out != s[:, None]) & (v == root[:, None])))
+        if l_max == 1:
+            continue
+        r, j = np.nonzero(v > root[:, None])
+        walks = [None, (root[r], [to_con[s[r]]], [v[r, j]])]
+        while len(walks) <= half:
+            walks.append(_half_walk_step(to_con, members, d, walks[-1]))
+        keyed = [None]
+        for roots, _, vars_ in walks[1:]:
+            keys = roots * p.n + vars_[-1]
+            order = np.argsort(keys)
+            keyed.append((keys[order], order))
+        for l in range(2, l_max + 1):
+            a, b = (l + 1) // 2, l // 2
+            directed[l] += _join_count(walks[a], keyed[a], walks[b], keyed[b])
 
     odd = [l for l in range(1, l_max + 1) if directed[l] % 2]
     if odd:
@@ -196,10 +261,10 @@ def _census_rows(params: Params, wirings: np.ndarray, l_max: int) -> list:
 def count_cycles(cfg: Configuration, l_max: int) -> CycleCensus:
     """Census of 2l-cycles for l = 1 .. l_max.
 
-    A wedge count for l_max <= 2, above that a breadth-wise enumeration
-    of directed walks, each rooted at its cycle's smallest variable, over
-    a numpy frontier.  Raises CapacityError if that walk's bound
-    n*d*((k-1)(d-1))^(l_max-1) is past ``_WALK_STEPS``.
+    A wedge count for l_max <= 2, above that a join of half-walks from
+    each cycle's smallest variable, met at the cycle's middle variable.
+    Raises CapacityError if a full walk's bound n*d*((k-1)(d-1))^(l_max-1),
+    a loose admission rule for the join, is past ``_WALK_STEPS``.
     """
     if l_max < 1:
         raise ParameterError(f"need l_max >= 1, got {l_max}")

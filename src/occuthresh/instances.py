@@ -35,6 +35,7 @@ import numpy as np
 
 from .errors import ParameterError, ParseError, RetryLimitError
 from .numerics import LogReal, log_falling
+from .parallel import worker_count
 
 _M64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -252,10 +253,11 @@ def _block_rows(params: Params) -> int:
 def _seed_blocks(params: Params, count: int, threads: int = 1):
     """Child-seed indices ``0 .. count-1`` cut into consecutive blocks.
 
-    Blocks have ``_block_rows`` rows, fewer where that gives each of
-    ``threads`` workers a block; the last one may be partial.
+    Blocks have ``_block_rows`` rows, fewer where that gives each worker
+    ``parallel_map`` starts at ``threads`` a block; the last one may be
+    partial.
     """
-    rows = min(_block_rows(params), -(-count // max(1, threads)))
+    rows = min(_block_rows(params), -(-count // max(1, worker_count(threads, count))))
     return (range(lo, min(lo + rows, count)) for lo in range(0, count, rows))
 
 

@@ -30,6 +30,11 @@ def thread_count(requested: int | None = None) -> int:
     return os.cpu_count() or 1
 
 
+def worker_count(threads: int, items: int) -> int:
+    """Workers ``parallel_map`` starts for ``items`` items: at most one per item and per CPU."""
+    return min(threads, items, os.cpu_count() or 1)
+
+
 def parallel_map(fn, items: list, threads: int) -> list:
     """Map ``fn`` over ``items`` preserving order; serial when threads <= 1.
 
@@ -37,7 +42,7 @@ def parallel_map(fn, items: list, threads: int) -> list:
     module-level function (it is pickled to worker processes).
     """
     items = list(items)
-    threads = min(threads, len(items), os.cpu_count() or 1)
+    threads = worker_count(threads, len(items))
     if threads <= 1:
         return [fn(item) for item in items]
     import multiprocessing  # here, so a serial run never imports it

@@ -100,12 +100,27 @@ class TestCensus:
             for l_max in range(1, 6):
                 assert cycles._census_walk(cfg.params, cfg.wiring, l_max) == want[:l_max], (t, l_max)
 
+    def test_walk_batches_match_one_batch(self, monkeypatch):
+        # Caps of a few rows cut the roots into batches of one and the
+        # candidate pairs into chunks of about one half-walk's range.
+        cfgs = [
+            sample_configuration(Params(n=n, d=d, k=k, r=1), child_seed(n * d + k, t))
+            for n, d, k in [(60, 3, 3), (20, 4, 4), (12, 2, 4)]
+            for t in range(2)
+        ]
+        want = [cycles._census_walk(cfg.params, cfg.wiring, 6) for cfg in cfgs]
+        for cap in (1, 7, 300):
+            monkeypatch.setattr(cycles, "_HALF_WALK_ROWS", cap)
+            got = [cycles._census_walk(cfg.params, cfg.wiring, 6) for cfg in cfgs]
+            assert got == want, cap
+
     def test_walk_memory_is_bounded(self):
-        # An unchunked frontier allocates about 330 MB here.
+        # l_max = 7 is the most _WALK_STEPS admits for one sample here; the
+        # half-walk join with all 400 roots in one batch allocates about 26 MiB.
         cfg = sample_configuration(Params(n=400, d=3, k=4, r=2), child_seed(61, 0))
         tracemalloc.start()
         try:
-            count_cycles(cfg, 5)
+            count_cycles(cfg, 7)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -275,7 +290,7 @@ class TestCensusSampling:
         assert [c.counts for c in got] == [c.counts for c in want]
 
     def test_no_more_workers_than_cpus(self, monkeypatch):
-        """Sixteen one-sample blocks at 100000 threads on three CPUs start three workers."""
+        """Sixteen samples at 100000 threads on three CPUs start three workers."""
         want = census_samples(k=4, d=3, n=400, samples=16, seed=1, threads=1)
         started = stub_pool(monkeypatch, cpus=3)
         got = census_samples(k=4, d=3, n=400, samples=16, seed=1, threads=100000)

@@ -430,13 +430,13 @@ class TestSmallSubgraphConditioning:
 
     @pytest.mark.parametrize("k, d", [(4, 2), (6, 3), (8, 3)])
     def test_errors_fall_as_one_over_n(self, k, d):
-        errors = {"ratio": [], "l=1": [], "l=2": []}
+        errors = {"ratio": [], "l=1": [], "l=2": [], "l=4": [], "l=8": []}
         for n in self.NS:
             params = Params(n=n, d=d, k=k, r=2)
             errors["ratio"].append(
                 second_moment_exact_ratio(params).value - 0.5 * math.log((k - 1) / (k - d)))
             ln_ez = first_moment_exact(params).value
-            for l in (1, 2):
+            for l in (1, 2, 4, 8):
                 excess = joint_moment_exact(params, l).value - ln_ez - math.log(mu_l(l, k, d))
                 errors[f"l={l}"].append(math.expm1(excess))
         for name, e in errors.items():

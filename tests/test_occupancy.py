@@ -1,6 +1,7 @@
 """Solution counting, overlap profiles, and the satisfiability sweep."""
 
 import math
+import os
 import tracemalloc
 from fractions import Fraction
 
@@ -9,7 +10,13 @@ import pytest
 
 from occuthresh import occupancy, parallel
 from occuthresh.errors import CapacityError, ContractViolation, ParameterError
-from occuthresh.instances import Configuration, Params, child_seed, sample_configuration
+from occuthresh.instances import (
+    Configuration,
+    Params,
+    _seed_blocks,
+    child_seed,
+    sample_configuration,
+)
 from occuthresh.occupancy import (
     count_solutions,
     estimate_sat_probability,
@@ -411,6 +418,7 @@ class TestSatProbability:
             return parallel.parallel_map(fn, items, threads)
 
         monkeypatch.setattr(occupancy, "parallel_map", counting)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # two threads start two workers
         rows = {
             threads: estimate_sat_probability(k=4, d=3, n_list=[8, 12, 16], trials=6, seed=5,
                                               threads=threads)
@@ -420,6 +428,26 @@ class TestSatProbability:
         # thread, two per n at two threads, so each worker gets one
         assert calls == [3, 6]
         assert rows[1] == rows[2]
+
+    def test_blocks_cut_for_the_workers_that_start(self, monkeypatch):
+        """100000 threads on two CPUs cut the blocks, and give the rows, of two threads."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        p = Params(n=8, d=3, k=4, r=1)
+        assert list(_seed_blocks(p, 20000, 100000)) == list(_seed_blocks(p, 20000, os.cpu_count()))
+        tasks = []
+
+        def recording(fn, items, threads):
+            tasks.append(items)
+            return parallel.parallel_map(fn, items, 1)
+
+        monkeypatch.setattr(occupancy, "parallel_map", recording)
+        rows = [
+            estimate_sat_probability(k=4, d=3, n_list=[8], trials=200, seed=5, threads=threads)
+            for threads in (100000, os.cpu_count())
+        ]
+        assert len(tasks[0]) == 2  # 100 trials a block, not one
+        assert tasks[0] == tasks[1]
+        assert rows[0] == rows[1]
 
     def test_deterministic_under_seed(self):
         a = estimate_sat_probability(k=4, d=3, n_list=[8], trials=25, seed=21)
